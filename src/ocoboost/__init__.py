@@ -8,8 +8,7 @@ from .errors import (ConfigError, DataError, DimensionMismatch, NonFiniteInput,
                      OcoBoostError, ProtocolError, StageError)
 from .extension import ExtendedLoss, ProxInfo, default_delta, prox
 from .geometry import (Ball, Box, CustomSet, DecisionSet, Interval, MEMBERSHIP_TOL,
-                       ShiftedSet, Simplex, as_point, interval_bounds,
-                       set_from_config)
+                       ShiftedSet, Simplex, as_point, set_from_config)
 from .losses import (CallableLoss, ConvexLoss, LinearLoss, QuadraticLoss,
                      ScaledLoss, ShiftedLoss, lipschitz_bound)
 from .statistical import (BoostedHypothesis, CallableSampleOracle,
@@ -30,7 +29,7 @@ __all__ = [
     "OcoBoostError", "ProtocolError", "StageError",
     "ExtendedLoss", "ProxInfo", "default_delta", "prox",
     "Ball", "Box", "CustomSet", "DecisionSet", "Interval", "MEMBERSHIP_TOL",
-    "ShiftedSet", "Simplex", "as_point", "interval_bounds", "set_from_config",
+    "ShiftedSet", "Simplex", "as_point", "set_from_config",
     "CallableLoss", "ConvexLoss", "LinearLoss", "QuadraticLoss", "ScaledLoss",
     "ShiftedLoss", "lipschitz_bound",
     "BoostedHypothesis", "CallableSampleOracle", "ConstantHypothesis",

@@ -1,9 +1,10 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Simplex projection kernels, JIT-compiled when the optional numba extra
+is installed.
 
 The pure-numpy implementations (``*_np``) are always importable; the
 module-level names point at the numba builds unless numba is missing or
 the environment variable ``OCOBOOST_NUMBA`` is set to ``0``/``false``/``off``.
-``ocoboost-bench kernels`` times the two paths against each other.
+Without numba the ``*_jit`` names are the same loops run as plain Python.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is an optional extra
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -91,103 +92,12 @@ def _project_simplex_batch_jit(points, total):
     return out
 
 
-# ---------------------------------------------------------------------------
-# One-dimensional composite prox: minimize over y
-#   w*(y - t)^2 + kappa * max(lo - y, y - hi, 0) + (y - x)^2 / (2*delta)
-# Exact: the objective is a convex piecewise quadratic with breakpoints at
-# lo and hi, so the global minimum is the best of the three per-region
-# clamped minimizers.
-# ---------------------------------------------------------------------------
-
-def _quad_interval_candidates(w, t, lo, hi, kappa, delta, x):
-    a = 2.0 * w + 1.0 / delta
-    base = 2.0 * w * t + x / delta
-    y_left = min((base + kappa) / a, lo)
-    y_mid = min(max(base / a, lo), hi)
-    y_right = max((base - kappa) / a, hi)
-    return y_left, y_mid, y_right
-
-
-def _quad_interval_objective(y, w, t, lo, hi, kappa, delta, x):
-    pen = max(lo - y, y - hi, 0.0)
-    return w * (y - t) ** 2 + kappa * pen + (y - x) ** 2 / (2.0 * delta)
-
-
-def prox_quad_interval_np(w: float, t: float, lo: float, hi: float,
-                          kappa: float, delta: float, x: float) -> float:
-    best_y = x
-    best_val = np.inf
-    for y in _quad_interval_candidates(w, t, lo, hi, kappa, delta, x):
-        val = _quad_interval_objective(y, w, t, lo, hi, kappa, delta, x)
-        if val < best_val:
-            best_val = val
-            best_y = y
-    return best_y
-
-
-@njit(cache=True)
-def _prox_quad_interval_jit(w, t, lo, hi, kappa, delta, x):
-    a = 2.0 * w + 1.0 / delta
-    base = 2.0 * w * t + x / delta
-    y0 = (base + kappa) / a
-    if y0 > lo:
-        y0 = lo
-    y1 = base / a
-    if y1 < lo:
-        y1 = lo
-    elif y1 > hi:
-        y1 = hi
-    y2 = (base - kappa) / a
-    if y2 < hi:
-        y2 = hi
-    best_y = y0
-    best_val = np.inf
-    for y in (y0, y1, y2):
-        pen = lo - y
-        if y - hi > pen:
-            pen = y - hi
-        if pen < 0.0:
-            pen = 0.0
-        val = w * (y - t) ** 2 + kappa * pen + (y - x) ** 2 / (2.0 * delta)
-        if val < best_val:
-            best_val = val
-            best_y = y
-    return best_y
-
-
-def prox_quad_interval_batch_np(w, t, lo, hi, kappa, delta, xs):
-    a = 2.0 * w + 1.0 / delta
-    base = 2.0 * w * t + xs / delta
-    cand = np.stack([
-        np.minimum((base + kappa) / a, lo),
-        np.clip(base / a, lo, hi),
-        np.maximum((base - kappa) / a, hi),
-    ])
-    pen = np.maximum(np.maximum(lo - cand, cand - hi), 0.0)
-    vals = w * (cand - t) ** 2 + kappa * pen + (cand - xs) ** 2 / (2.0 * delta)
-    return cand[np.argmin(vals, axis=0), np.arange(xs.shape[0])]
-
-
-@njit(cache=True)
-def _prox_quad_interval_batch_jit(w, t, lo, hi, kappa, delta, xs):
-    out = np.empty_like(xs)
-    for i in range(xs.shape[0]):
-        out[i] = _prox_quad_interval_jit(w, t, lo, hi, kappa, delta, xs[i])
-    return out
-
-
 if NUMBA_ENABLED:
     project_simplex = _project_simplex_jit
     project_simplex_batch = _project_simplex_batch_jit
-    prox_quad_interval = _prox_quad_interval_jit
-    prox_quad_interval_batch = _prox_quad_interval_batch_jit
 else:
     project_simplex = project_simplex_np
     project_simplex_batch = project_simplex_batch_np
-    prox_quad_interval = prox_quad_interval_np
-    prox_quad_interval_batch = prox_quad_interval_batch_np
 
 project_simplex_jit = _project_simplex_jit
 project_simplex_batch_jit = _project_simplex_batch_jit
-prox_quad_interval_jit = _prox_quad_interval_jit
-prox_quad_interval_batch_jit = _prox_quad_interval_batch_jit

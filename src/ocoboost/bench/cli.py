@@ -3,7 +3,6 @@
 Subcommands:
   run     — streaming regression benchmark on a dataset, normalized table out
   synth   — synthetic acceptance scenarios (oco | bandit | sco)
-  kernels — time the numba kernels against their pure-numpy fallbacks
   fetch   — one-time dataset downloads (california, boston)
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -63,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--explore-rate", default="auto")
     p_synth.add_argument("--out", choices=("markdown", "csv", "json"),
                          default="markdown")
-
-    p_k = sub.add_parser("kernels", help="numba vs numpy kernel timings")
-    p_k.add_argument("--size", type=int, default=100000,
-                     help="number of kernel invocations per measurement")
-    p_k.add_argument("--dim", type=int, default=8, help="simplex dimension")
 
     p_fetch = sub.add_parser("fetch", help="one-time dataset downloads")
     p_fetch.add_argument("name", choices=("california", "boston"))
@@ -147,43 +140,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _time_calls(fn, args_list) -> float:
-    t0 = time.perf_counter()
-    for a in args_list:
-        fn(*a)
-    return time.perf_counter() - t0
-
-
-def _cmd_kernels(args) -> int:
-    from .. import _kernels as k
-    rng = np.random.default_rng(0)
-    vecs = rng.standard_normal((256, args.dim))
-    xs = rng.standard_normal(256)
-
-    # warm the JIT before timing
-    k.project_simplex_jit(vecs[0], 1.0)
-    k.prox_quad_interval_jit(1.0, 0.0, -1.0, 1.0, 1.0, 0.5, 0.3)
-
-    simplex_args = [(vecs[i % 256], 1.0) for i in range(args.size)]
-    prox_args = [(1.0, 0.2, -1.0, 1.0, 1.0, 0.5, float(xs[i % 256]))
-                 for i in range(args.size)]
-    rows = []
-    for name, jit_fn, np_fn, argset in (
-            ("project_simplex", k.project_simplex_jit, k.project_simplex_np,
-             simplex_args),
-            ("prox_quad_interval", k.prox_quad_interval_jit,
-             k.prox_quad_interval_np, prox_args)):
-        t_jit = _time_calls(jit_fn, argset)
-        t_np = _time_calls(np_fn, argset)
-        rows.append([name, f"{t_jit:.4f}s", f"{t_np:.4f}s",
-                     f"{t_np / max(t_jit, 1e-12):.1f}x"])
-    header = ["kernel", "numba", "numpy", "speedup"]
-    sys.stdout.write(_rows_to_text(header, rows, "markdown"))
-    sys.stdout.write(f"numba enabled at import: {k.NUMBA_ENABLED} "
-                     f"(set OCOBOOST_NUMBA=0 to force the numpy path)\n")
-    return 0
-
-
 def _cmd_fetch(args) -> int:
     from .data import _search_dirs
     dest = args.dest or str(_search_dirs()[0])
@@ -203,8 +159,6 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "synth":
             return _cmd_synth(args)
-        if args.command == "kernels":
-            return _cmd_kernels(args)
         if args.command == "fetch":
             return _cmd_fetch(args)
         raise ConfigError(f"unknown command {args.command}")

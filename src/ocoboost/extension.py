@@ -8,9 +8,10 @@ what lets the boosting loop feed scaled-up, infeasible ensemble points to
 the loss machinery.
 
 The envelope minimizer (prox point) is computed in closed form for linear
-losses over any set and for quadratics over 1-D intervals; everything else
-runs a proximal-gradient splitting whose nonsmooth step (the distance
-penalty) is an analytic shrink toward the projection.
+and isotropic quadratic losses (also shifted or scaled) over any set: both
+reduce to one analytic shrink toward the projection. Any other loss runs a
+proximal-gradient splitting whose nonsmooth step (the distance penalty) is
+that same shrink.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError
-from .geometry import DecisionSet, as_point, interval_bounds
+from .geometry import DecisionSet, as_point
 from .losses import ConvexLoss, LinearLoss, QuadraticLoss, ScaledLoss, ShiftedLoss
 
 DEFAULT_BUDGET = 200
@@ -121,12 +121,12 @@ def _prox_impl(loss, set_, kappa, delta, x, budget, tol):
         return y, _EXACT_INFO
 
     quad = _as_quadratic(loss)
-    bounds = interval_bounds(set_) if quad is not None else None
-    if quad is not None and bounds is not None:
+    if quad is not None:
+        # w*||y-t||^2 + ||y-x||^2/(2 delta) = (a/2)*||y-z||^2 + const
         w, t = quad
-        y = _kernels.prox_quad_interval(w, float(t[0]), bounds[0], bounds[1],
-                                        kappa, delta, float(x[0]))
-        return np.array([y]), _EXACT_INFO
+        a = 2.0 * w + 1.0 / delta
+        z = (2.0 * w * t + x / delta) / a
+        return _shrink_toward_projection(set_, z, kappa / a), _EXACT_INFO
 
     return _prox_iterative(loss, set_, kappa, delta, x, budget, tol)
 

@@ -354,24 +354,6 @@ class CustomSet(DecisionSet):
                          c * self._diameter, c * self._centroid)
 
 
-def interval_bounds(set_: DecisionSet):
-    """(lo, hi) when the set is effectively a 1-D interval, else None."""
-    if set_.dim != 1:
-        return None
-    if isinstance(set_, Box):
-        return float(set_.lower[0]), float(set_.upper[0])
-    if isinstance(set_, Ball):
-        c = float(set_.center[0])
-        return c - set_.radius, c + set_.radius
-    if isinstance(set_, ShiftedSet):
-        inner = interval_bounds(set_.base)
-        if inner is None:
-            return None
-        off = float(set_.offset[0])
-        return inner[0] + off, inner[1] + off
-    return None
-
-
 def set_from_config(config: dict) -> DecisionSet:
     """Build a decision set from a plain config record.
 

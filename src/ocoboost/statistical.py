@@ -15,12 +15,14 @@ adds the centroid offset back.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, StageError
 from .extension import ExtendedLoss, default_delta
 from .geometry import DecisionSet, as_point
-from .losses import ConvexLoss, LinearLoss, ShiftedLoss
+from .losses import LinearLoss, ShiftedLoss
 
 
 class SampleOracle:
@@ -66,35 +68,30 @@ class CallableSampleOracle(SampleOracle):
 
 
 class _StageOracle(SampleOracle):
-    """Lift a base oracle to the linear losses of one boosting stage."""
+    """Lift a base oracle to the linear losses of one boosting stage.
 
-    def __init__(self, base: SampleOracle, prev_hypothesis, set_c, offset,
-                 delta, kappa, budget, tol):
+    A drawn loss is extended and differentiated at the mixture of the
+    previous stages, evaluated at the drawn context. For a finite support
+    the fit passes each atom's extended loss and its stage point, carried
+    from stage to stage, so ``support()`` evaluates no earlier stage.
+    """
+
+    def __init__(self, base: SampleOracle, prev_hypothesis, extend, atoms, points):
         self.base = base
         self.prev = prev_hypothesis
-        self.set_c = set_c
-        self.offset = offset
-        self.delta = delta
-        self.kappa = kappa
-        self.budget = budget
-        self.tol = tol
-
-    def _lift(self, loss: ConvexLoss, context):
-        loss_c = loss if not np.any(self.offset) else ShiftedLoss(loss, self.offset)
-        ext = ExtendedLoss(loss_c, self.set_c, self.delta, self.kappa,
-                           budget=self.budget, tol=self.tol)
-        g = ext.grad(self.prev(context))
-        return LinearLoss(g), context
+        self.extend = extend
+        self.atoms = atoms  # (extended losses, contexts, probabilities) or None
+        self.points = points  # (K, d) stage points of the atoms
 
     def draw(self):
         loss, context = self.base.draw()
-        return self._lift(loss, context)
+        return LinearLoss(self.extend(loss).grad(self.prev(context))), context
 
     def support(self):
-        base_support = self.base.support()
-        if base_support is None:
+        if self.atoms is None:
             return None
-        return [(*self._lift(loss, c), p) for loss, c, p in base_support]
+        return [(LinearLoss(ext.grad(point)), c, p)
+                for ext, c, p, point in zip(*self.atoms, self.points)]
 
 
 class ConstantHypothesis:
@@ -229,23 +226,44 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
     components = [(1.0, initial_hypothesis)]
     etas = _etas(n_stages, eta_rule)
 
-    def current(context, comps=None):
-        comps = components if comps is None else comps
+    def extend(loss):
+        loss_c = loss if not np.any(offset) else ShiftedLoss(loss, offset)
+        return ExtendedLoss(loss_c, set_c, delta, kappa,
+                            budget=prox_budget, tol=prox_tol)
+
+    def evaluate(hyp, contexts):
+        return np.array([as_point(hyp(c), set_c.dim) for c in contexts])
+
+    # a finite support is lifted at stage points carried by the same
+    # recursion as the components, one hypothesis call per atom per stage
+    atoms = points = None
+    support = oracle.support()
+    if support is not None:
+        losses, contexts, probs = zip(*support)
+        atoms = [extend(loss) for loss in losses], contexts, probs
+        del support  # its (loss, context, p) tuples are not needed again
+        try:
+            points = evaluate(initial_hypothesis, contexts)
+        except Exception as exc:
+            raise StageError(1, str(exc)) from exc
+
+    def current(context, comps):
         out = np.zeros(set_c.dim)
         for coef, hyp in comps:
             out += coef * as_point(hyp(context), set_c.dim)
         return out
 
     for i in range(n_stages):
-        prev_comps = list(components)
         stage_oracle = _StageOracle(
-            oracle, lambda c, pc=prev_comps: current(c, pc),
-            set_c, offset, delta, kappa, prox_budget, prox_tol)
+            oracle, functools.partial(current, comps=list(components)),
+            extend, atoms, points)
+        eta = etas[i]
         try:
             learned = weak_optimizer.solve(stage_oracle, stage_budget)
+            if points is not None:
+                points = (1.0 - eta) * points + (eta / gamma) * evaluate(learned, contexts)
         except Exception as exc:
             raise StageError(i + 1, str(exc)) from exc
-        eta = etas[i]
         components = [((1.0 - eta) * coef, hyp) for coef, hyp in components]
         components.append((eta / gamma, learned))
         components = [(coef, hyp) for coef, hyp in components if coef != 0.0]

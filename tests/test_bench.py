@@ -233,12 +233,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "N,gap,bound"
 
-    def test_kernels_subcommand(self, capsys):
-        code = main(["kernels", "--size", "2000", "--dim", "4"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "project_simplex" in out and "prox_quad_interval" in out
-
     def test_console_script_env_flag(self, tmp_path):
         # the numpy fallback path is selected by OCOBOOST_NUMBA=0
         env = dict(os.environ, OCOBOOST_NUMBA="0")

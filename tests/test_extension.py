@@ -3,9 +3,9 @@ import pytest
 
 from ocoboost.errors import ConfigError
 from ocoboost.extension import ExtendedLoss, default_delta, prox
-from ocoboost.geometry import Ball, Box, Interval
+from ocoboost.geometry import Ball, Box, Interval, ShiftedSet, Simplex
 from ocoboost.losses import (CallableLoss, LinearLoss, QuadraticLoss,
-                             ShiftedLoss, lipschitz_bound)
+                             ScaledLoss, ShiftedLoss, lipschitz_bound)
 from ocoboost.testkit import GridSpec, finite_diff_grad, grid_moreau
 
 
@@ -39,19 +39,33 @@ class TestProx:
 
     def test_iterative_matches_closed_form_quadratic(self, rng):
         from ocoboost.extension import _prox_iterative
-        iv = Interval(-1.0, 1.0)
-        for _ in range(40):
-            loss = QuadraticLoss([rng.uniform(-1, 1)], weight=rng.uniform(0.3, 2))
-            x = np.array([rng.uniform(-4, 4)])
-            kappa, delta = rng.uniform(0.2, 3), rng.uniform(0.1, 1)
-            y_fast, _ = prox(loss, iv, kappa, delta, x)
-            y_iter, info = _prox_iterative(loss, iv, kappa, delta, x, 500, 1e-12)
-            assert info.converged
-            np.testing.assert_allclose(y_fast, y_iter, atol=1e-8)
+        sets = [Interval(-1.0, 1.0), Box([-1.0, 0.0, -0.5], [1.0, 2.0, 0.5]),
+                Ball(2, 1.5, center=[0.5, -0.5]), Simplex(3),
+                ShiftedSet(Simplex(3), [-0.2, 0.1, 0.4])]
+        for set_ in sets:
+            for _ in range(40):
+                target = rng.uniform(-1, 1, size=set_.dim)
+                quad = QuadraticLoss(target, weight=rng.uniform(0.3, 2))
+                for loss in (quad,
+                             ShiftedLoss(quad, rng.uniform(-1, 1, size=set_.dim)),
+                             ScaledLoss(quad, rng.uniform(0.2, 3)),
+                             ScaledLoss(ShiftedLoss(quad, rng.uniform(-1, 1, size=set_.dim)),
+                                        rng.uniform(0.2, 3))):
+                    x = rng.uniform(-4, 4, size=set_.dim)
+                    kappa, delta = rng.uniform(0.2, 3), rng.uniform(0.1, 1)
+                    y_fast, info = prox(loss, set_, kappa, delta, x)
+                    assert info.iterations == 0
+                    y_iter, info = _prox_iterative(loss, set_, kappa, delta, x,
+                                                   500, 1e-12)
+                    assert info.converged
+                    np.testing.assert_allclose(y_fast, y_iter, atol=1e-8)
 
     def test_budget_exhaustion_flags(self):
+        # a quadratic without the closed form's structure runs the
+        # iterative solver, which flags an exhausted budget
         box = Box([-1.0, -1.0], [1.0, 1.0])
-        loss = QuadraticLoss([0.2, -0.3], weight=5.0)
+        quad = QuadraticLoss([0.2, -0.3], weight=5.0)
+        loss = CallableLoss(quad.value, quad.grad, curvature_hint=quad.curvature_hint)
         _, info = prox(loss, box, kappa=1.0, delta=2.0, x=[3.0, -2.0],
                        budget=1, tol=1e-14)
         assert not info.converged

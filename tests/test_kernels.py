@@ -1,9 +1,13 @@
-"""The numba kernels and their numpy fallbacks must agree."""
+"""The numba kernels and their numpy fallbacks must agree; the closed-form
+quadratic prox on an interval must match a dense grid."""
 
 import numpy as np
 import pytest
 
 from ocoboost import _kernels as k
+from ocoboost.extension import prox
+from ocoboost.geometry import Interval
+from ocoboost.losses import QuadraticLoss
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 9])
@@ -27,20 +31,6 @@ def test_simplex_batch_paths_agree(rng):
     np.testing.assert_allclose(b, single, rtol=0, atol=1e-14)
 
 
-def test_prox_quad_interval_paths_agree(rng):
-    for _ in range(500):
-        w = float(rng.uniform(0.1, 4.0))
-        t = float(rng.uniform(-2, 2))
-        lo = float(rng.uniform(-2, 0))
-        hi = lo + float(rng.uniform(0.1, 3))
-        kappa = float(rng.uniform(0, 5))
-        delta = float(rng.uniform(0.05, 2))
-        x = float(rng.uniform(-5, 5))
-        a = k.prox_quad_interval_jit(w, t, lo, hi, kappa, delta, x)
-        b = k.prox_quad_interval_np(w, t, lo, hi, kappa, delta, x)
-        assert a == pytest.approx(b, abs=1e-14)
-
-
 def test_prox_quad_interval_matches_grid(rng):
     # dense 1-D grid minimization as the independent oracle
     for _ in range(50):
@@ -54,18 +44,8 @@ def test_prox_quad_interval_matches_grid(rng):
                + kappa * np.maximum(np.maximum(-1.0 - ys, ys - 1.0), 0.0)
                + (ys - x) ** 2 / (2 * delta))
         y_grid = ys[int(np.argmin(obj))]
-        y = k.prox_quad_interval(w, t, -1.0, 1.0, kappa, delta, x)
-        assert y == pytest.approx(y_grid, abs=1e-4)
-
-
-def test_prox_quad_interval_batch_matches_single(rng):
-    xs = rng.uniform(-5, 5, size=64)
-    batch = k.prox_quad_interval_batch_jit(1.3, 0.2, -1.0, 1.0, 0.7, 0.4, xs)
-    batch_np = k.prox_quad_interval_batch_np(1.3, 0.2, -1.0, 1.0, 0.7, 0.4, xs)
-    singles = np.array([k.prox_quad_interval_np(1.3, 0.2, -1.0, 1.0, 0.7, 0.4, x)
-                        for x in xs])
-    np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(batch_np, singles, rtol=0, atol=1e-14)
+        y, _ = prox(QuadraticLoss([t], w), Interval(-1.0, 1.0), kappa, delta, [x])
+        assert y[0] == pytest.approx(y_grid, abs=1e-4)
 
 
 def test_env_flag_selects_path():

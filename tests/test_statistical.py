@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 
 from ocoboost.errors import ConfigError, StageError
 from ocoboost.extension import ExtendedLoss, default_delta
-from ocoboost.geometry import Interval
-from ocoboost.losses import LinearLoss, QuadraticLoss, ScaledLoss
-from ocoboost.statistical import (ConstantHypothesis, ErmWeakOptimizer,
-                                  FiniteSupportOracle, exact_population_loss,
-                                  fit_boosted_hypothesis, population_loss)
+from ocoboost.geometry import Box, Interval
+from ocoboost.losses import LinearLoss, QuadraticLoss, ScaledLoss, ShiftedLoss
+from ocoboost.statistical import (CallableSampleOracle, ConstantHypothesis,
+                                  ErmWeakOptimizer, FiniteSupportOracle,
+                                  exact_population_loss, fit_boosted_hypothesis,
+                                  population_loss)
 from ocoboost.testkit import hull_optimum
 
 
@@ -160,6 +162,116 @@ class TestFit:
                                        atol=1e-10)
             np.testing.assert_allclose(ctx, ctx0)
             assert p == p0
+
+
+def _box_oracle(rng, n_atoms=6):
+    """Quadratic atoms on 2-D contexts, for a fit on a 3-D box."""
+    atoms = [(QuadraticLoss(rng.uniform(-2.0, 2.0, size=3)),
+              rng.standard_normal(2)) for _ in range(n_atoms)]
+    return FiniteSupportOracle(atoms, probs=rng.dirichlet(np.ones(n_atoms)), seed=0)
+
+
+class _TanhHypothesis:
+    def __init__(self, point, name):
+        self.point = point
+        self.name = name
+
+    def __call__(self, context):
+        return self.point * np.tanh(context[0] + 0.5 * context[1])
+
+
+def _box_hyps():
+    # contextual hypotheses into the box recentred on its centroid
+    half = np.array([1.0, 1.0, 0.5])
+    return [_TanhHypothesis(half * np.array(v), name=f"h{i}")
+            for i, v in enumerate(itertools.product((-1.0, 1.0), repeat=3))]
+
+
+class _Recorder(ErmWeakOptimizer):
+    """ERM that records the stage oracle's lifted losses and its output."""
+
+    def __init__(self, hyps, gamma, exact=True, draws=0):
+        super().__init__(hyps, gamma, exact=exact)
+        self.draws = draws
+        self.lifted, self.learned = [], []
+
+    def solve(self, stage_oracle, budget):
+        if self.exact:
+            self.lifted.append(stage_oracle.support())
+        else:
+            self.lifted.append([stage_oracle.draw() for _ in range(self.draws)])
+        learned = super().solve(stage_oracle, budget)
+        self.learned.append(learned)
+        return learned
+
+
+def _check_lifted(recorder, base_atoms, set_, gamma, lipschitz):
+    """Every lifted direction is the extension gradient at the mixture of its
+    stage's components, rebuilt here from the recorded stage outputs;
+    ``base_atoms[i]`` lists the (loss, context) pairs behind stage i+1."""
+    set_c, offset = set_.recenter()
+    delta = default_delta(set_.diameter, gamma, len(recorder.learned), lipschitz)
+    components = [(1.0, ConstantHypothesis(np.zeros(set_c.dim)))]
+    for i, (lifted, atoms) in enumerate(zip(recorder.lifted, base_atoms)):
+        assert len(lifted) == len(atoms)
+        for (lin, ctx, *_), (loss, ctx0) in zip(lifted, atoms):
+            mixture = sum(coef * h(ctx0) for coef, h in components)
+            ext = ExtendedLoss(ShiftedLoss(loss, offset), set_c, delta=delta,
+                               kappa=lipschitz)
+            np.testing.assert_allclose(lin.direction, ext.grad(mixture),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(ctx, ctx0)
+        eta = min(2.0 / (i + 1), 1.0)
+        components = [((1.0 - eta) * coef, h) for coef, h in components]
+        components.append((eta / gamma, recorder.learned[i]))
+
+
+class TestStagePoints:
+    """The lifted losses of stages 1-6 are taken at the current mixture,
+    whether from carried stage points (finite support) or from draws."""
+
+    n_stages = 6
+    box = Box([-1.0, -0.5, 0.0], [1.0, 1.5, 1.0])
+
+    def _check_support_fit(self, oracle, hyps, set_, gamma, lipschitz):
+        recorder = _Recorder(hyps, gamma)
+        fit_boosted_hypothesis(oracle, recorder, set_, n_stages=self.n_stages,
+                               gamma=gamma, stage_budget=1, lipschitz=lipschitz)
+        support = oracle.support()
+        for lifted in recorder.lifted:
+            assert [p for *_, p in lifted] == [p for *_, p in support]
+        atoms = [(loss, c) for loss, c, _ in support]
+        _check_lifted(recorder, [atoms] * self.n_stages, set_, gamma, lipschitz)
+        # the mixture moves between stages, so stale points would show
+        assert len({h.name for h in recorder.learned}) > 1
+
+    def test_carried_points_two_point_oracle(self):
+        self._check_support_fit(_two_point_oracle(),
+                                _constant_hyps([-0.5, 0.9]),
+                                Interval(-0.8, 1.2), gamma=0.5, lipschitz=10.0)
+
+    def test_carried_points_box_oracle(self, rng):
+        self._check_support_fit(_box_oracle(rng), _box_hyps(), self.box,
+                                gamma=0.5, lipschitz=20.0)
+
+    def test_sampled_oracle_draws_at_mixture(self, rng):
+        base = _box_oracle(rng)
+        drawn = []
+
+        def draw():
+            drawn.append(base.draw())
+            return drawn[-1]
+
+        oracle = CallableSampleOracle(draw)
+        recorder = _Recorder(_box_hyps(), 0.5, exact=False, draws=4)
+        fitted = fit_boosted_hypothesis(oracle, recorder, self.box,
+                                        n_stages=self.n_stages, gamma=0.5,
+                                        stage_budget=8, lipschitz=20.0)
+        # each stage draws 4 samples for the recorder, then 8 for the ERM
+        atoms = [drawn[12 * i:12 * i + 4] for i in range(self.n_stages)]
+        _check_lifted(recorder, atoms, self.box, 0.5, 20.0)
+        for _, c in drawn:
+            assert self.box.contains(fitted(c))
 
 
 class TestPopulationLoss:
