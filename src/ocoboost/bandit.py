@@ -18,11 +18,11 @@ import logging
 
 import numpy as np
 
-from .booster import BoosterConfig, OnlineBooster, RoundTrajectory
+from .booster import (BoosterConfig, OnlineBooster, RoundTrajectory,
+                      parse_booster_record)
 from .errors import ConfigError, NonFiniteInput, ProtocolError
 from .geometry import DecisionSet, as_point
 from .losses import LinearLoss
-from .weak import learner_from_config
 
 logger = logging.getLogger(__name__)
 
@@ -146,34 +146,15 @@ class BanditBooster:
     @classmethod
     def from_config(cls, set_: DecisionSet, config: dict,
                     feature_dim: int) -> "BanditBooster":
-        """Build from a JSON-compatible record extending the booster config
-        with {explore_rate or "auto", horizon (needed for auto), seed,
-        weak_regret_bound?}."""
+        """Build from a JSON-compatible booster record (see
+        ``parse_booster_record``) extended with {explore_rate or "auto",
+        horizon (needed for auto), weak_regret_bound?}; its seed also seeds
+        the exploration streams."""
         inner_keys = dict(config)
         explore_rate = inner_keys.pop("explore_rate", "auto")
         horizon = inner_keys.pop("horizon", None)
-        seed = int(inner_keys.pop("seed", 0))
         weak_regret_bound = float(inner_keys.pop("weak_regret_bound", 0.0))
-        try:
-            n = int(inner_keys.get("n_learners", inner_keys.get("N")))
-            gamma = float(inner_keys["gamma"])
-            learner_spec = dict(inner_keys["learner"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bandit config is missing {exc}") from exc
-        inner_config = BoosterConfig(
-            n_learners=n, gamma=gamma,
-            lipschitz=inner_keys.get("lipschitz"),
-            delta=inner_keys.get("delta"), kappa=inner_keys.get("kappa"),
-            delta_rule=inner_keys.get("delta_rule", "balanced"),
-            eta_rule=inner_keys.get("eta_rule", "two_over_i"),
-            x0_rule=inner_keys.get("x0_rule", "centroid"))
-        learner_spec.setdefault("gamma", gamma)
-
-        def factory(i, recentered):
-            spec = dict(learner_spec)
-            spec["seed"] = seed * 100003 + i
-            return learner_from_config(spec, recentered, feature_dim)
-
+        inner_config, factory, seed = parse_booster_record(inner_keys, feature_dim)
         return cls(set_, factory, inner_config, explore_rate=explore_rate,
                    horizon=horizon, seed=seed,
                    weak_regret_bound=weak_regret_bound)

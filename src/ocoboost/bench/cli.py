@@ -3,7 +3,7 @@
 Subcommands:
   run     — streaming regression benchmark on a dataset, normalized table out
   synth   — synthetic acceptance scenarios (oco | bandit | sco)
-  fetch   — one-time dataset downloads (california, boston)
+  fetch   — one-time California Housing download (needs scikit-learn)
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError, OcoBoostError
 from . import synth
-from .data import fetch_boston, fetch_california
+from .data import fetch_california
 from .experiment import ExperimentConfig, emit_table, run_experiment
 
 
@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="streaming regression benchmark")
     p_run.add_argument("--dataset", required=True,
-                       help="dataset name (diabetes|california|boston|synthetic) or CSV path")
+                       help="dataset name (diabetes|california|synthetic) or CSV path")
     p_run.add_argument("--learner", default="stump",
                        help="comma-separated subset of stump,ridge,mlp")
     p_run.add_argument("--n", type=_int_list, default=(2, 3, 4, 5),
@@ -62,12 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", choices=("markdown", "csv", "json"),
                          default="markdown")
 
-    p_fetch = sub.add_parser("fetch", help="one-time dataset downloads")
-    p_fetch.add_argument("name", choices=("california", "boston"))
+    p_fetch = sub.add_parser("fetch", help="one-time dataset download")
+    p_fetch.add_argument("name", choices=("california",))
     p_fetch.add_argument("--dest", default=None,
                          help="destination directory (default: data search path)")
-    p_fetch.add_argument("--sha256", default=None,
-                         help="expected checksum (boston only)")
     return parser
 
 
@@ -143,10 +141,7 @@ def _cmd_synth(args) -> int:
 def _cmd_fetch(args) -> int:
     from .data import _search_dirs
     dest = args.dest or str(_search_dirs()[0])
-    if args.name == "california":
-        out = fetch_california(dest)
-    else:
-        out = fetch_boston(dest, sha256=args.sha256)
+    out = fetch_california(dest)
     sys.stdout.write(f"wrote {out}\n")
     return 0
 

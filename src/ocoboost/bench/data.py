@@ -7,18 +7,17 @@ zero. The pre-standardization target range is kept as metadata; the
 standardized range defines the decision interval for regression runs.
 
 Built-in datasets: "diabetes" (bundled with scikit-learn, no network),
-"synthetic" (generated in-process), "california" and "boston" (searched on
-disk; see ``fetch`` — both need a one-time download where network access
-exists). ``BENCH_DATA_DIR`` overrides the dataset search path.
+"synthetic" (generated in-process) and "california" (searched on disk;
+``fetch_california`` writes it once, through scikit-learn, where network
+access exists). ``BENCH_DATA_DIR`` overrides the dataset search path. Any
+other numeric CSV loads by its path.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import logging
 import os
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,8 +28,6 @@ from ..errors import DataError
 logger = logging.getLogger(__name__)
 
 CALIFORNIA_FILENAME = "california_housing.csv"
-BOSTON_FILENAME = "boston.csv"
-BOSTON_URL = "http://lib.stat.cmu.edu/datasets/boston"
 
 
 @dataclass
@@ -247,18 +244,10 @@ def load_dataset(name_or_path, data_dir=None, target_col=None) -> Dataset:
                 "run 'ocoboost-bench fetch california' on a machine with "
                 "network access, or set BENCH_DATA_DIR")
         return ingest(found, target_col=target_col)
-    if name == "boston":
-        found = _find_file(BOSTON_FILENAME, data_dir)
-        if found is None:
-            raise DataError(
-                f"{BOSTON_FILENAME} not found in the data search path; "
-                "run 'ocoboost-bench fetch boston' on a machine with "
-                "network access, or set BENCH_DATA_DIR")
-        return ingest(found, target_col=target_col)
     raise DataError(f"unknown dataset '{name_or_path}' and no such file")
 
 
-# -- one-time downloads ------------------------------------------------------
+# -- one-time download --------------------------------------------------------
 
 def fetch_california(dest_dir) -> Path:
     """Materialize the California Housing CSV via scikit-learn's fetcher,
@@ -276,40 +265,4 @@ def fetch_california(dest_dir) -> Path:
         writer.writerow(list(raw.feature_names) + ["MedHouseVal"])
         for x, y in zip(raw.data, raw.target):
             writer.writerow([repr(float(v)) for v in x] + [repr(float(y))])
-    return out
-
-
-def fetch_boston(dest_dir, sha256: str | None = None) -> Path:
-    """Download and reshape the Boston housing file (optional, not vendored).
-
-    The upstream file interleaves each record over two physical lines. The
-    computed SHA-256 of the raw download is always printed; pass ``sha256``
-    to enforce it.
-    """
-    dest_dir = Path(dest_dir)
-    dest_dir.mkdir(parents=True, exist_ok=True)
-    with urllib.request.urlopen(BOSTON_URL, timeout=60) as resp:
-        blob = resp.read()
-    digest = hashlib.sha256(blob).hexdigest()
-    logger.info("boston download sha256: %s", digest)
-    if sha256 is not None and digest != sha256.lower():
-        raise DataError(f"boston checksum mismatch: got {digest}")
-    lines = blob.decode("latin-1").splitlines()
-    # data starts after the 22-line preamble; records span two lines
-    values = []
-    for line in lines[22:]:
-        values.extend(float(tok) for tok in line.split())
-    if len(values) % 14 != 0:
-        raise DataError("boston file did not parse into 14 columns")
-    matrix = np.array(values).reshape(-1, 14)
-    if matrix.shape[0] != 506:
-        raise DataError(f"boston row count {matrix.shape[0]} != 506")
-    names = ["CRIM", "ZN", "INDUS", "CHAS", "NOX", "RM", "AGE", "DIS",
-             "RAD", "TAX", "PTRATIO", "B", "LSTAT", "MEDV"]
-    out = dest_dir / BOSTON_FILENAME
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
     return out

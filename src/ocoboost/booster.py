@@ -17,10 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .extension import DEFAULT_BUDGET, DEFAULT_TOL, ExtendedLoss, default_delta
+from .extension import (DEFAULT_BUDGET, DEFAULT_TOL, ExtendedLoss,
+                        check_prox_settings, default_delta)
 from .geometry import DecisionSet, Simplex, as_point
 from .losses import ConvexLoss, LinearLoss, ShiftedLoss
 from .weak import learner_from_config
+
+
+def step_sizes(n: int) -> list[float]:
+    """The mixing steps eta_i = min(2/i, 1) of stages i = 1..n."""
+    return [min(2.0 / i, 1.0) for i in range(1, n + 1)]
 
 
 @dataclass
@@ -31,6 +37,7 @@ class BoosterConfig:
     recentered set scaled by 1/gamma); it seeds the default smoothing
     radius and the default distance-penalty weight kappa = G. It may be
     omitted only when both delta and kappa are given explicitly.
+    ``x0_rule`` is "centroid" or a start point in original coordinates.
     """
 
     n_learners: int
@@ -39,7 +46,6 @@ class BoosterConfig:
     delta: float | None = None
     kappa: float | None = None
     delta_rule: str = "balanced"
-    eta_rule: str = "two_over_i"
     x0_rule: str = "centroid"
     prox_budget: int = DEFAULT_BUDGET
     prox_tol: float = DEFAULT_TOL
@@ -55,14 +61,13 @@ class BoosterConfig:
             raise ConfigError("kappa must be nonnegative")
         if self.lipschitz is not None and self.lipschitz <= 0:
             raise ConfigError("lipschitz must be positive")
-
-    def etas(self) -> np.ndarray:
-        if self.eta_rule == "two_over_i":
-            return np.array([min(2.0 / i, 1.0)
-                             for i in range(1, self.n_learners + 1)])
-        if self.eta_rule == "harmonic":
-            return np.array([1.0 / i for i in range(1, self.n_learners + 1)])
-        raise ConfigError(f"unknown eta rule '{self.eta_rule}'")
+        check_prox_settings(self.prox_budget, self.prox_tol)
+        if not (isinstance(self.x0_rule, str) and self.x0_rule == "centroid"):
+            try:
+                as_point(self.x0_rule, name="x0_rule")
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"x0_rule must be 'centroid' or a point: {exc}") from exc
 
 
 @dataclass
@@ -107,7 +112,7 @@ class OnlineBooster:
         self.set_c, self.offset = set_.recenter()
         self.gamma = config.gamma
         self.n_learners = config.n_learners
-        self.etas = config.etas()
+        self.etas = step_sizes(config.n_learners)
         self.learners = [learner_factory(i, self.set_c)
                          for i in range(config.n_learners)]
 
@@ -250,32 +255,57 @@ class OnlineBooster:
     @classmethod
     def from_config(cls, set_: DecisionSet, config: dict,
                     feature_dim: int) -> "OnlineBooster":
-        """Build from a JSON-compatible record:
-        {N, gamma, delta?, kappa?, lipschitz?, eta_rule?, x0_rule?,
-         learner: {...}, seed?}.
-        """
-        try:
-            n = int(config.get("n_learners", config.get("N")))
-            gamma = float(config["gamma"])
-            learner_spec = dict(config["learner"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"booster config is missing {exc}") from exc
-        seed = int(config.get("seed", 0))
-        bc = BoosterConfig(
-            n_learners=n, gamma=gamma,
-            lipschitz=config.get("lipschitz"),
-            delta=config.get("delta"), kappa=config.get("kappa"),
-            delta_rule=config.get("delta_rule", "balanced"),
-            eta_rule=config.get("eta_rule", "two_over_i"),
-            x0_rule=config.get("x0_rule", "centroid"))
-        learner_spec.setdefault("gamma", gamma)
+        """Build from a JSON-compatible record (see ``parse_booster_record``)."""
+        booster_config, factory, _ = parse_booster_record(config, feature_dim)
+        return cls(set_, factory, booster_config)
 
-        def factory(i, recentered):
-            spec = dict(learner_spec)
-            spec["seed"] = seed * 100003 + i
-            return learner_from_config(spec, recentered, feature_dim)
 
-        return cls(set_, factory, bc)
+def check_record(record: dict, required, optional, what: str) -> None:
+    """Raise ``ConfigError`` naming a record's unknown keys, or else its
+    missing required ones. Each required entry is a tuple of alternative
+    names, the first of which is reported."""
+    unknown = sorted(set(record) - set(optional).union(*required))
+    if unknown:
+        raise ConfigError(f"{what} has unknown keys {unknown}")
+    missing = [names[0] for names in required
+               if not any(name in record for name in names)]
+    if missing:
+        raise ConfigError(f"{what} is missing {missing}")
+
+
+def parse_booster_record(record: dict, feature_dim: int):
+    """Parse {N (or n_learners), gamma, learner: {...}, lipschitz?, delta?,
+    kappa?, delta_rule?, x0_rule?, seed?} into (BoosterConfig, learner
+    factory, seed).
+
+    Learner i is built from the learner spec with seed ``seed * 100003 + i``
+    and, unless the spec sets its own, the booster's gamma. Missing and
+    unknown keys raise ``ConfigError`` naming them.
+    """
+    check_record(record, (("N", "n_learners"), ("gamma",), ("learner",)),
+                 ("lipschitz", "delta", "kappa", "delta_rule", "x0_rule", "seed"),
+                 "booster config")
+    try:
+        n = int(record.get("n_learners", record.get("N")))
+        gamma = float(record["gamma"])
+        seed = int(record.get("seed", 0))
+        learner_spec = dict(record["learner"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"booster config has a malformed value: {exc}") from exc
+    config = BoosterConfig(
+        n_learners=n, gamma=gamma,
+        lipschitz=record.get("lipschitz"),
+        delta=record.get("delta"), kappa=record.get("kappa"),
+        delta_rule=record.get("delta_rule", "balanced"),
+        x0_rule=record.get("x0_rule", "centroid"))
+    learner_spec.setdefault("gamma", gamma)
+
+    def factory(i, recentered):
+        spec = dict(learner_spec)
+        spec["seed"] = seed * 100003 + i
+        return learner_from_config(spec, recentered, feature_dim)
+
+    return config, factory, seed
 
 
 def _simplex_weight_minimum(actions: np.ndarray, losses, tol: float,

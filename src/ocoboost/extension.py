@@ -39,6 +39,16 @@ class ProxInfo:
 _EXACT_INFO = ProxInfo(residual=0.0, iterations=0, converged=True)
 
 
+def check_prox_settings(budget: int, tol: float) -> None:
+    """Reject a prox budget below one iteration or a non-positive tolerance:
+    with no iteration the iterative prox returns its start point, a silent
+    zero gradient."""
+    if budget < 1:
+        raise ConfigError(f"prox_budget must be >= 1, got {budget}")
+    if not tol > 0:
+        raise ConfigError(f"prox_tol must be positive, got {tol}")
+
+
 def default_delta(diameter: float, gamma: float, n_learners: int,
                   lipschitz: float | None = None, rule: str = "balanced") -> float:
     """Smoothing radius for an N-learner boosting run.

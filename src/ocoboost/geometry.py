@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError, DimensionMismatch, NonFiniteInput
 
 MEMBERSHIP_TOL = 1e-9
@@ -94,12 +93,6 @@ class DecisionSet:
     def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
         """Uniform samples from the set (used by tests and Monte-Carlo checks)."""
         raise NotImplementedError
-
-    def _check_scale(self, c: float) -> float:
-        c = float(c)
-        if not np.isfinite(c) or c <= 0.0:
-            raise ConfigError(f"scale factor must be positive, got {c}")
-        return c
 
 
 def _check_scale_positive(c):
@@ -258,11 +251,15 @@ class Simplex(DecisionSet):
         return np.full(self.dim, self.total / self.dim)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return _kernels.project_simplex(x, self.total)
-
-    def project_batch(self, points: np.ndarray) -> np.ndarray:
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        return _kernels.project_simplex_batch(points, self.total)
+        # sort-and-threshold: with u sorted descending, theta is
+        # (u_1 + ... + u_k - total) / k at the largest k with u_k above it;
+        # k = 1 always qualifies for total > 0
+        u = np.sort(x)[::-1]
+        css = np.cumsum(u) - self.total
+        idx = np.arange(1, x.shape[0] + 1)
+        mask = u - css / idx > 0.0
+        theta = css[mask][-1] / idx[mask][-1]
+        return np.maximum(x - theta, 0.0)
 
     def scale(self, c: float) -> "Simplex":
         c = _check_scale_positive(c)

@@ -15,12 +15,12 @@ adds the centroid offset back.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
+from .booster import check_record, step_sizes
 from .errors import ConfigError, StageError
-from .extension import ExtendedLoss, default_delta
+from .extension import (DEFAULT_BUDGET, DEFAULT_TOL, ExtendedLoss,
+                        check_prox_settings, default_delta)
 from .geometry import DecisionSet, as_point
 from .losses import LinearLoss, ShiftedLoss
 
@@ -191,21 +191,14 @@ class ErmWeakOptimizer:
         return float(scale * np.sqrt(2.0 * np.log(len(self.hypotheses)) / budget))
 
 
-def _etas(n_stages: int, rule: str) -> np.ndarray:
-    if rule == "two_over_i":
-        return np.array([min(2.0 / i, 1.0) for i in range(1, n_stages + 1)])
-    raise ConfigError(f"unknown eta rule '{rule}'")
-
-
 def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionSet,
                            n_stages: int, gamma: float, stage_budget: int,
                            delta: float | None = None, kappa: float | None = None,
                            lipschitz: float | None = None,
                            delta_rule: str = "balanced",
-                           eta_rule: str = "two_over_i",
                            initial_hypothesis=None,
-                           prox_budget: int = 200, prox_tol: float = 1e-8
-                           ) -> BoostedHypothesis:
+                           prox_budget: int = DEFAULT_BUDGET,
+                           prox_tol: float = DEFAULT_TOL) -> BoostedHypothesis:
     """Run N boosting stages against a sampling oracle and return the
     projected mixture hypothesis. Total sample cost is n_stages * stage_budget
     (sampled weak optimizers consume a fresh budget per stage)."""
@@ -213,6 +206,7 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
         raise ConfigError("n_stages must be >= 1")
     if not 0.0 < gamma <= 1.0:
         raise ConfigError("gamma must be in (0, 1]")
+    check_prox_settings(prox_budget, prox_tol)
     set_c, offset = set_.recenter()
     if delta is None:
         delta = default_delta(set_.diameter, gamma, n_stages, lipschitz, delta_rule)
@@ -224,7 +218,7 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
     if initial_hypothesis is None:
         initial_hypothesis = ConstantHypothesis(np.zeros(set_c.dim), name="centroid")
     components = [(1.0, initial_hypothesis)]
-    etas = _etas(n_stages, eta_rule)
+    etas = step_sizes(n_stages)
 
     def extend(loss):
         loss_c = loss if not np.any(offset) else ShiftedLoss(loss, offset)
@@ -247,15 +241,9 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
         except Exception as exc:
             raise StageError(1, str(exc)) from exc
 
-    def current(context, comps):
-        out = np.zeros(set_c.dim)
-        for coef, hyp in comps:
-            out += coef * as_point(hyp(context), set_c.dim)
-        return out
-
     for i in range(n_stages):
         stage_oracle = _StageOracle(
-            oracle, functools.partial(current, comps=list(components)),
+            oracle, BoostedHypothesis(components, set_c, offset).raw,
             extend, atoms, points)
         eta = etas[i]
         try:
@@ -274,20 +262,23 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
 def fit_from_config(oracle: SampleOracle, weak_optimizer, set_: DecisionSet,
                     config: dict) -> BoostedHypothesis:
     """Drive a fit from a JSON-compatible record:
-    {N, gamma, delta?, kappa?, lipschitz?, stage_budget, seed?}. The weak
-    optimizer itself holds callables, so it is passed programmatically."""
+    {N (or n_stages), gamma, delta?, kappa?, lipschitz?, delta_rule?,
+    stage_budget (or m)?, seed?}. The weak optimizer itself holds
+    callables, so it is passed programmatically."""
+    check_record(config, (("N", "n_stages"), ("gamma",)),
+                 ("delta", "kappa", "lipschitz", "delta_rule", "stage_budget",
+                  "m", "seed"), "fit config")
     try:
         n = int(config.get("n_stages", config.get("N")))
         gamma = float(config["gamma"])
         budget = int(config.get("stage_budget", config.get("m", 1)))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"fit config is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"fit config has a malformed value: {exc}") from exc
     return fit_boosted_hypothesis(
         oracle, weak_optimizer, set_, n_stages=n, gamma=gamma,
         stage_budget=budget, delta=config.get("delta"),
         kappa=config.get("kappa"), lipschitz=config.get("lipschitz"),
-        delta_rule=config.get("delta_rule", "balanced"),
-        eta_rule=config.get("eta_rule", "two_over_i"))
+        delta_rule=config.get("delta_rule", "balanced"))
 
 
 def population_loss(hypothesis, oracle: SampleOracle, n_samples: int):

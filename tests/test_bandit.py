@@ -4,7 +4,7 @@ from scipy.optimize import minimize_scalar
 
 from ocoboost.bandit import (BanditBooster, default_explore_rate,
                              verify_simplex_containment)
-from ocoboost.booster import BoosterConfig
+from ocoboost.booster import BoosterConfig, OnlineBooster
 from ocoboost.errors import ConfigError, NonFiniteInput, ProtocolError
 from ocoboost.geometry import Ball, Box, Simplex
 from ocoboost.testkit import bandit_expectation
@@ -219,5 +219,24 @@ class TestFromConfig:
         assert bb.explore_rate == pytest.approx(expected)
 
     def test_missing_keys(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"missing \['N', 'learner'\]"):
             BanditBooster.from_config(Simplex(3), {"gamma": 0.5}, feature_dim=1)
+
+    def test_inner_booster_matches_online_record(self):
+        # the booster keys parse as in OnlineBooster.from_config: same
+        # config and the same seeded learners
+        record = {"N": 3, "gamma": 0.5, "lipschitz": 4.0, "seed": 5,
+                  "learner": {"kind": "mlp"}}
+        bb = BanditBooster.from_config(
+            Simplex(3), dict(record, explore_rate=0.3), feature_dim=2)
+        ob = OnlineBooster.from_config(Simplex(3), record, feature_dim=2)
+        assert bb.inner.config == ob.config
+        context = np.array([0.4, -1.2])
+        np.testing.assert_array_equal(bb.inner.predict(context)[0],
+                                      ob.predict(context)[0])
+
+    def test_unknown_keys_named(self):
+        config = {"N": 2, "gamma": 0.5, "lipschitz": 4.0, "explore_rate": 0.3,
+                  "learner": {"kind": "uniform"}, "eta_rule": "harmonic"}
+        with pytest.raises(ConfigError, match=r"unknown keys \['eta_rule'\]"):
+            BanditBooster.from_config(Simplex(3), config, feature_dim=1)

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import ocoboost
 from ocoboost.bench.cli import main
 from ocoboost.bench.data import (ingest, load_dataset, synthetic_regression,
                                  write_synthetic_csv)
@@ -16,6 +17,51 @@ from ocoboost.bench.experiment import (ExperimentConfig, emit_table,
                                        square_loss_gradient_bound)
 from ocoboost.errors import ConfigError, DataError
 from ocoboost.geometry import Interval
+
+_WITHOUT_OPTIONAL_DEPS = """
+import sys
+from importlib.abc import MetaPathFinder
+
+
+class Blocked(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numba", "sklearn"):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, Blocked())
+import ocoboost as ob
+from ocoboost.bench import cli, data
+
+cfg = ob.BoosterConfig(n_learners=2, gamma=0.5, lipschitz=4.0)
+booster = ob.OnlineBooster(ob.Interval(-1.0, 1.0),
+                           lambda i, s: ob.UniformBaseline(s), cfg)
+played, traj = booster.predict([0.0])
+booster.update(ob.QuadraticLoss([0.5]), traj)
+assert booster.rounds_done == 1
+bandit = ob.BanditBooster(ob.Simplex(3), lambda i, s: ob.UniformBaseline(s),
+                          cfg, explore_rate=0.5, seed=1)
+bandit.step([0.0])
+bandit.feedback(0.3)
+assert bandit.rounds_done == 1
+oracle = ob.FiniteSupportOracle([(ob.QuadraticLoss([0.2]), [0.0]),
+                                 (ob.QuadraticLoss([-0.4]), [1.0])])
+wopt = ob.ErmWeakOptimizer([ob.ConstantHypothesis([0.5]),
+                            ob.ConstantHypothesis([-0.5])], 0.5, exact=True)
+fitted = ob.fit_boosted_hypothesis(oracle, wopt, ob.Interval(-1.0, 1.0),
+                                   n_stages=2, gamma=0.5, stage_budget=1,
+                                   lipschitz=4.0)
+assert len(fitted.components) == 1
+try:
+    data.load_dataset("diabetes")
+except ob.DataError:
+    pass
+else:
+    raise AssertionError("diabetes loaded without sklearn")
+assert not {"numba", "sklearn"} & {m.partition(".")[0] for m in sys.modules}
+print("ok")
+"""
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "ocoboost" / "bench" / "result_schema.json"
 
@@ -233,14 +279,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "N,gap,bound"
 
-    def test_console_script_env_flag(self, tmp_path):
-        # the numpy fallback path is selected by OCOBOOST_NUMBA=0
-        env = dict(os.environ, OCOBOOST_NUMBA="0")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from ocoboost import _kernels as k; print(k.NUMBA_ENABLED)"],
-            capture_output=True, text=True, env=env)
-        assert proc.stdout.strip() == "False"
+    def test_library_runs_without_numba_or_sklearn(self):
+        # a fresh interpreter in which numba and sklearn cannot be imported,
+        # whether or not they are installed
+        src = str(Path(ocoboost.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_OPTIONAL_DEPS],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ok"]
 
     def test_bench_data_dir_env(self, tmp_path, capsys):
         # BENCH_DATA_DIR overrides the dataset search path

@@ -86,7 +86,7 @@ class TestPredictRecurrence:
         # an explicit x0 (original coordinates) feeds the first stage
         iv = Interval(0.0, 2.0)
         cfg = BoosterConfig(n_learners=1, gamma=1.0, lipschitz=1.0,
-                            eta_rule="harmonic", x0_rule=np.array([1.5]))
+                            x0_rule=np.array([1.5]))
         booster = OnlineBooster(iv, lambda i, s: FixedLearner(s, [0.0]), cfg)
         _, traj = booster.predict([0.0])
         assert traj.stages[0][0] == pytest.approx(0.5)  # recentered 1.5
@@ -251,6 +251,29 @@ class TestTranscriptAndConfig:
             # neither kappa nor lipschitz
             OnlineBooster(Ball(2, 1.0), lambda i, s: UniformBaseline(s),
                           BoosterConfig(n_learners=1, gamma=0.5, delta=0.5))
+        with pytest.raises(ConfigError, match="x0_rule"):
+            BoosterConfig(n_learners=1, gamma=0.5, lipschitz=1.0,
+                          x0_rule="origin")
+        with pytest.raises(ConfigError, match="prox_budget"):
+            BoosterConfig(n_learners=1, gamma=0.5, lipschitz=1.0,
+                          prox_budget=0)
+        with pytest.raises(ConfigError, match="prox_tol"):
+            BoosterConfig(n_learners=1, gamma=0.5, lipschitz=1.0,
+                          prox_tol=0.0)
+
+    def test_from_config_names_bad_keys(self):
+        iv = Interval(-1.0, 1.0)
+        record = {"N": 2, "gamma": 0.5, "lipschitz": 4.0,
+                  "learner": {"kind": "uniform"}}
+        cases = [
+            ({k: v for k, v in record.items() if k != "N"}, r"missing \['N'\]"),
+            (dict(record, eta_rule="two_over_i"), r"unknown keys \['eta_rule'\]"),
+            (dict(record, x0_rule="origin"), "x0_rule"),
+            (dict(record, N="two"), "malformed"),
+        ]
+        for bad, match in cases:
+            with pytest.raises(ConfigError, match=match):
+                OnlineBooster.from_config(iv, bad, feature_dim=1)
 
 
 def test_played_actions_always_feasible_under_adversarial_losses(rng):

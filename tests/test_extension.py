@@ -200,3 +200,20 @@ def test_custom_loss_iterative_path(rng):
         g, info = ext.grad_with_info(x)
         assert info.converged
         assert np.linalg.norm(fd - g) <= 1e-3 * max(1.0, np.linalg.norm(g))
+
+
+def test_prox_quad_interval_matches_grid(rng):
+    # dense 1-D grid minimization as the independent oracle
+    for _ in range(50):
+        w = float(rng.uniform(0.2, 2.0))
+        t = float(rng.uniform(-1, 1))
+        kappa = float(rng.uniform(0.1, 3))
+        delta = float(rng.uniform(0.1, 1))
+        x = float(rng.uniform(-4, 4))
+        ys = np.linspace(-6, 6, 240001)
+        obj = (w * (ys - t) ** 2
+               + kappa * np.maximum(np.maximum(-1.0 - ys, ys - 1.0), 0.0)
+               + (ys - x) ** 2 / (2 * delta))
+        y_grid = ys[int(np.argmin(obj))]
+        y, _ = prox(QuadraticLoss([t], w), Interval(-1.0, 1.0), kappa, delta, [x])
+        assert y[0] == pytest.approx(y_grid, abs=1e-4)

@@ -44,11 +44,25 @@ class TestProject:
                 np.testing.assert_allclose(set_.project(p), p, atol=1e-12)
 
     def test_simplex_output_is_distribution(self, rng):
-        simplex = Simplex(4)
-        for x in 5 * rng.standard_normal((200, 4)):
-            p = simplex.project(x)
-            assert p.min() >= -1e-12
-            assert abs(p.sum() - 1.0) < 1e-9
+        for dim in (1, 2, 4, 9):
+            for x in 5 * rng.standard_normal((200, dim)):
+                total = float(rng.uniform(0.5, 2.0))
+                p = Simplex(dim, total).project(x)
+                assert p.min() >= -1e-12
+                assert abs(p.sum() - total) < 1e-9
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 9])
+    def test_simplex_projection_kkt(self, rng, dim):
+        # p is the projection of x onto the simplex iff it is feasible (see
+        # the test above) and x - p <= theta for one theta, with equality
+        # wherever p > 0
+        for x in 3 * rng.standard_normal((200, dim)):
+            total = float(rng.uniform(0.5, 2.0))
+            p = Simplex(dim, total).project(x)
+            r = x - p
+            theta = r[p > 0].max()
+            np.testing.assert_allclose(r[p > 0], theta, rtol=0, atol=1e-12)
+            assert np.all(r <= theta + 1e-12)
 
 
 class TestDistance:

@@ -331,8 +331,26 @@ def test_fit_from_config_round_trip():
                                     stage_budget=1, lipschitz=8.0)
     for c in (np.zeros(1), np.ones(1)):
         np.testing.assert_allclose(fitted(c), direct(c))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"missing \['N'\]"):
         fit_from_config(oracle, wopt, iv, {"gamma": 0.5})
+
+
+def test_fit_rejects_bad_config():
+    from ocoboost.statistical import fit_from_config
+    iv = Interval(-1.0, 1.0)
+    oracle = _two_point_oracle()
+    wopt = ErmWeakOptimizer(_constant_hyps([-0.5, 0.1, 0.9]), gamma=0.5,
+                            exact=True)
+    with pytest.raises(ConfigError, match=r"unknown keys \['eta_rule'\]"):
+        fit_from_config(oracle, wopt, iv, {"N": 2, "gamma": 0.5,
+                                           "lipschitz": 8.0,
+                                           "eta_rule": "two_over_i"})
+    for prox_settings, match in (({"prox_budget": 0}, "prox_budget"),
+                                 ({"prox_tol": 0.0}, "prox_tol")):
+        with pytest.raises(ConfigError, match=match):
+            fit_boosted_hypothesis(oracle, wopt, iv, n_stages=2, gamma=0.5,
+                                   stage_budget=1, lipschitz=8.0,
+                                   **prox_settings)
 
 
 def test_fitted_actions_always_feasible(rng):
