@@ -15,6 +15,7 @@ constructively at construction by projecting every basis vector.
 from __future__ import annotations
 
 import logging
+import numbers
 
 import numpy as np
 
@@ -60,7 +61,8 @@ def verify_simplex_containment(set_: DecisionSet,
 
 
 class BanditBooster:
-    """Step/feedback wrapper around an ``OnlineBooster`` for linear bandits."""
+    """Step/feedback wrapper around an ``OnlineBooster`` for linear bandits;
+    ``explored_rounds`` counts the rounds that played a basis vector."""
 
     def __init__(self, set_: DecisionSet, learner_factory,
                  inner_config: BoosterConfig, explore_rate="auto",
@@ -87,8 +89,8 @@ class BanditBooster:
         self._arm_rng = np.random.default_rng(streams[2])
 
         self.rounds_done = 0
+        self.explored_rounds = 0
         self._pending: tuple[bool, int | None, RoundTrajectory] | None = None
-        self.round_log: list[dict] = []
 
     def step(self, context) -> np.ndarray:
         """Play a point: a random basis vector when exploring, else the inner
@@ -119,13 +121,7 @@ class BanditBooster:
         if explored:
             estimate[coordinate] = (self.dim / self.explore_rate) * observed_loss
         self.inner.update(LinearLoss(estimate), traj)
-        self.round_log.append({
-            "t": self.rounds_done + 1,
-            "explored": explored,
-            "coordinate": coordinate,
-            "observed": observed_loss,
-            "estimate_nonzeros": int(np.count_nonzero(estimate)),
-        })
+        self.explored_rounds += explored
         self.rounds_done += 1
         self._pending = None
 
@@ -152,9 +148,24 @@ class BanditBooster:
         the exploration streams."""
         inner_keys = dict(config)
         explore_rate = inner_keys.pop("explore_rate", "auto")
+        if explore_rate != "auto":
+            explore_rate = _number(explore_rate, "explore_rate")
         horizon = inner_keys.pop("horizon", None)
-        weak_regret_bound = float(inner_keys.pop("weak_regret_bound", 0.0))
+        if horizon is not None:
+            horizon = _number(horizon, "horizon", integer=True)
+        weak_regret_bound = _number(inner_keys.pop("weak_regret_bound", 0.0),
+                                    "weak_regret_bound")
         inner_config, factory, seed = parse_booster_record(inner_keys, feature_dim)
         return cls(set_, factory, inner_config, explore_rate=explore_rate,
                    horizon=horizon, seed=seed,
                    weak_regret_bound=weak_regret_bound)
+
+
+def _number(value, key: str, integer: bool = False):
+    """A bandit record's numeric value, or ``ConfigError`` naming its key."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"bandit config key '{key}' must be "
+                          f"{'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+    return value

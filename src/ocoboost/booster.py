@@ -10,7 +10,6 @@ the public API accepts and returns original coordinates.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, ProtocolError
 from .extension import (DEFAULT_BUDGET, DEFAULT_TOL, ExtendedLoss,
                         check_prox_settings, default_delta)
-from .geometry import DecisionSet, Simplex, as_point
+from .geometry import DecisionSet, as_point
 from .losses import ConvexLoss, LinearLoss, ShiftedLoss
 from .weak import learner_from_config
 
@@ -75,26 +74,9 @@ class RoundTrajectory:
     """Stage points x^0..x^N of one round, kept between predict and update."""
 
     round_index: int
-    context: np.ndarray
     stages: np.ndarray          # (N+1, d), recentered coordinates
     learner_plays: np.ndarray   # (N, d), recentered coordinates
-    played_centered: np.ndarray
     played: np.ndarray          # original coordinates
-
-
-@dataclass
-class RoundDiagnostics:
-    round_index: int
-    context_hash: str
-    played: np.ndarray
-    loss_value: float
-    prox_residual: float
-    prox_flagged: bool
-    grad_norms: np.ndarray
-
-
-def _context_hash(context: np.ndarray) -> str:
-    return hashlib.sha1(np.ascontiguousarray(context).tobytes()).hexdigest()[:16]
 
 
 class OnlineBooster:
@@ -104,11 +86,15 @@ class OnlineBooster:
     and are not reentrant. Distinct instances are independent; within an
     update the learner updates share no mutable state, so their result does
     not depend on execution order.
+
+    State is O(N) however long the stream: the learners and running totals
+    (``realized_loss``; ``prox_nonconverged`` solves, ``prox_worst_residual``
+    and ``max_grad_norm``, to compare with ``lipschitz``). The code that owns
+    the loss stream and the base class measures regret (see ``bench.synth``).
     """
 
     def __init__(self, set_: DecisionSet, learner_factory, config: BoosterConfig):
         self.config = config
-        self.original_set = set_
         self.set_c, self.offset = set_.recenter()
         self.gamma = config.gamma
         self.n_learners = config.n_learners
@@ -138,10 +124,10 @@ class OnlineBooster:
 
         self.rounds_done = 0
         self._last_traj: RoundTrajectory | None = None
-        self._realized_total = 0.0
-        self.diagnostics: list[RoundDiagnostics] = []
-        self.cumulative_linear_losses = np.zeros(config.n_learners)
-        self._history: list[tuple[np.ndarray, ConvexLoss, np.ndarray]] = []
+        self.realized_loss = 0.0
+        self.prox_nonconverged = 0
+        self.prox_worst_residual = 0.0
+        self.max_grad_norm = 0.0
 
     # -- per-round protocol -------------------------------------------------
 
@@ -157,9 +143,7 @@ class OnlineBooster:
             stages[i + 1] = (1.0 - eta) * stages[i] + (eta / self.gamma) * plays[i]
         played_c = self.set_c._project(stages[n])
         traj = RoundTrajectory(round_index=self.rounds_done + 1,
-                               context=context, stages=stages,
-                               learner_plays=plays,
-                               played_centered=played_c,
+                               stages=stages, learner_plays=plays,
                                played=played_c + self.offset)
         self._last_traj = traj
         return traj.played.copy(), traj
@@ -178,79 +162,17 @@ class OnlineBooster:
         ext = ExtendedLoss(loss_c, self.set_c, self.delta, self.kappa,
                            budget=self.config.prox_budget,
                            tol=self.config.prox_tol)
-        grad_norms = np.empty(self.n_learners)
-        worst_residual = 0.0
-        flagged = False
         for i in range(self.n_learners):
             g, info = ext.grad_with_info(trajectory.stages[i])
-            grad_norms[i] = math.sqrt(float(g @ g))
-            worst_residual = max(worst_residual, info.residual)
-            flagged = flagged or not info.converged
-            self.cumulative_linear_losses[i] += float(
-                g @ trajectory.learner_plays[i])
+            self.max_grad_norm = max(self.max_grad_norm, math.sqrt(float(g @ g)))
+            self.prox_nonconverged += not info.converged
+            self.prox_worst_residual = max(self.prox_worst_residual,
+                                           info.residual)
             self.learners[i].update(LinearLoss(g))
 
-        realized = loss.value(trajectory.played)
-        self._realized_total += realized
-        self.diagnostics.append(RoundDiagnostics(
-            round_index=trajectory.round_index,
-            context_hash=_context_hash(trajectory.context),
-            played=trajectory.played.copy(),
-            loss_value=realized,
-            prox_residual=worst_residual,
-            prox_flagged=flagged,
-            grad_norms=grad_norms))
-        self._history.append((trajectory.context, loss, trajectory.played))
+        self.realized_loss += loss.value(trajectory.played)
         self.rounds_done += 1
         self._last_traj = None
-
-    # -- reporting ----------------------------------------------------------
-
-    @property
-    def realized_loss(self) -> float:
-        return self._realized_total
-
-    def regret_report(self, hypotheses=None, action_sequence=None) -> float:
-        """Realized cumulative loss minus the best comparator loss.
-
-        ``hypotheses`` compares against the best convex combination of a
-        finite class (minimized over the weight simplex); alternatively a
-        fixed per-round ``action_sequence`` serves as the comparator.
-        """
-        if not self._history:
-            raise ConfigError("no completed rounds to report on")
-        if action_sequence is not None:
-            if len(action_sequence) != len(self._history):
-                raise ConfigError("action sequence length must match rounds")
-            comp = sum(loss.value(as_point(a, self.original_set.dim))
-                       for (_, loss, _), a in zip(self._history, action_sequence))
-            return self._realized_total - comp
-        if not hypotheses:
-            raise ConfigError("empty comparator")
-        return self._realized_total - self._hull_minimum(hypotheses)
-
-    def _hull_minimum(self, hypotheses) -> float:
-        contexts = [c for c, _, _ in self._history]
-        losses = [loss for _, loss, _ in self._history]
-        actions = np.stack([
-            np.stack([as_point(h(c), self.original_set.dim)
-                      for h in hypotheses])
-            for c in contexts])  # (T, J, d)
-        if all(isinstance(loss, LinearLoss) for loss in losses):
-            # linear losses: the hull optimum sits at a vertex
-            dirs = np.stack([loss.direction for loss in losses])  # (T, d)
-            per_hyp = np.einsum("td,tjd->j", dirs, actions)
-            return float(per_hyp.min())
-        return _simplex_weight_minimum(actions, losses, tol=1e-8)
-
-    def export_transcript(self) -> list[dict]:
-        return [{
-            "t": diag.round_index,
-            "context_hash": diag.context_hash,
-            "played": diag.played.tolist(),
-            "loss_value": diag.loss_value,
-            "prox_residual": diag.prox_residual,
-        } for diag in self.diagnostics]
 
     @classmethod
     def from_config(cls, set_: DecisionSet, config: dict,
@@ -306,42 +228,3 @@ def parse_booster_record(record: dict, feature_dim: int):
         return learner_from_config(spec, recentered, feature_dim)
 
     return config, factory, seed
-
-
-def _simplex_weight_minimum(actions: np.ndarray, losses, tol: float,
-                            max_iter: int = 20000) -> float:
-    """Projected gradient descent for min over simplex weights w of
-    sum_t f_t(sum_j w_j h_j(c_t))."""
-    n_hyp = actions.shape[1]
-    simplex = Simplex(n_hyp)
-    w = np.full(n_hyp, 1.0 / n_hyp)
-
-    def objective(weights):
-        mixes = np.tensordot(actions, weights, axes=([1], [0]))
-        return sum(loss.value(mix) for loss, mix in zip(losses, mixes))
-
-    def gradient(weights):
-        mixes = np.tensordot(actions, weights, axes=([1], [0]))
-        out = np.zeros(n_hyp)
-        for t, loss in enumerate(losses):
-            out += actions[t] @ loss.grad(mixes[t])
-        return out
-
-    fw = objective(w)
-    step = 1.0
-    for _ in range(max_iter):
-        g = gradient(w)
-        cand, fc = w, fw
-        while step > 1e-18:
-            cand = simplex.project(w - step * g)
-            fc = objective(cand)
-            move = cand - w
-            if fc <= fw + g @ move + 0.5 / step * float(move @ move) + 1e-15:
-                break
-            step *= 0.5
-        residual = float(np.linalg.norm(cand - w)) / step
-        w, fw = cand, fc
-        if residual <= tol:
-            break
-        step = min(step * 1.5, 1e6)
-    return float(fw)

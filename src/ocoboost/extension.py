@@ -121,6 +121,7 @@ def prox(loss: ConvexLoss, set_: DecisionSet, kappa: float, delta: float, x,
         raise ConfigError("delta must be positive")
     if kappa < 0:
         raise ConfigError("kappa must be nonnegative")
+    check_prox_settings(budget, tol)
     return _prox_impl(loss, set_, kappa, delta, x, budget, tol)
 
 
@@ -187,6 +188,7 @@ class ExtendedLoss:
             raise ConfigError("delta must be positive")
         if kappa < 0:
             raise ConfigError("kappa must be nonnegative")
+        check_prox_settings(budget, tol)
         self.base = base
         self.set_ = set_
         self.delta = float(delta)

@@ -263,11 +263,11 @@ def fit_from_config(oracle: SampleOracle, weak_optimizer, set_: DecisionSet,
                     config: dict) -> BoostedHypothesis:
     """Drive a fit from a JSON-compatible record:
     {N (or n_stages), gamma, delta?, kappa?, lipschitz?, delta_rule?,
-    stage_budget (or m)?, seed?}. The weak optimizer itself holds
-    callables, so it is passed programmatically."""
+    stage_budget (or m)?}. The weak optimizer and the oracle hold callables
+    and their own seeds, so they are passed programmatically."""
     check_record(config, (("N", "n_stages"), ("gamma",)),
                  ("delta", "kappa", "lipschitz", "delta_rule", "stage_budget",
-                  "m", "seed"), "fit config")
+                  "m"), "fit config")
     try:
         n = int(config.get("n_stages", config.get("N")))
         gamma = float(config["gamma"])

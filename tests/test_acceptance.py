@@ -199,7 +199,7 @@ def test_criterion_06_full_information_regret_scaling():
 
 
 def test_criterion_06b_comparator_cross_check():
-    """Dual route: the booster's internal hull minimum against testkit's."""
+    """Dual route: the scenario's hull minimum against testkit's."""
     out = synth.oco_scenario(4, horizon=400, gamma=0.5, seed=0)
     # rebuild the same stream and compare comparators directly
     rng = np.random.default_rng(0)
@@ -217,6 +217,7 @@ def test_criterion_06b_comparator_cross_check():
     vertex = min(float(np.einsum("td,td->", dirs, actions[j, :400]))
                  for j in range(4))
     assert oracle.value == pytest.approx(vertex, abs=1e-5)
+    assert out["comparator"] == pytest.approx(oracle.value, abs=1e-5)
 
 
 def _bandit_loss_table(horizon, seed):

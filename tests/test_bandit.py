@@ -18,6 +18,19 @@ def _make_bandit(dim=4, explore_rate=0.5, seed=0, n_learners=2, horizon=None):
                          explore_rate=explore_rate, seed=seed, horizon=horizon)
 
 
+def _record_inner_losses(bb):
+    """Wrap the inner booster's update; returns the list of losses it got."""
+    losses = []
+    update = bb.inner.update
+
+    def recording_update(loss, trajectory):
+        losses.append(loss)
+        update(loss, trajectory)
+
+    bb.inner.update = recording_update
+    return losses
+
+
 class TestContainment:
     def test_simplex_passes(self):
         verify_simplex_containment(Simplex(5))
@@ -52,27 +65,31 @@ class TestStepFeedback:
 
     def test_never_explore_plays_inner_and_freezes_learners(self):
         bb = _make_bandit(dim=3, explore_rate=0.0, seed=1)
+        inner_losses = _record_inner_losses(bb)
         centroid = Simplex(3).centroid
         for t in range(50):
             played = bb.step([float(t)])
             np.testing.assert_allclose(played, centroid)
             bb.feedback(float(np.dot([0.2, 0.5, 0.3], played)))
-        for entry in bb.round_log:
-            assert not entry["explored"]
-            assert entry["estimate_nonzeros"] == 0
+        assert bb.explored_rounds == 0
+        assert len(inner_losses) == 50
+        for loss in inner_losses:
+            assert np.count_nonzero(loss.direction) == 0
         # inner learners advanced their round counters on zero losses
         assert all(l.rounds == 50 for l in bb.inner.learners)
 
     def test_seeded_reproducibility(self):
-        seq_a = []
-        seq_b = []
-        for seq in (seq_a, seq_b):
+        runs = []
+        for _ in range(2):
             bb = _make_bandit(dim=4, explore_rate=0.5, seed=42)
+            played = []
             for t in range(200):
-                bb.step([float(t)])
+                played.append(bb.step([float(t)]))
                 bb.feedback(0.1)
-            seq.extend((e["explored"], e["coordinate"]) for e in bb.round_log)
-        assert seq_a == seq_b
+            runs.append((np.stack(played), bb.explored_rounds))
+        (played_a, explored_a), (played_b, explored_b) = runs
+        assert np.array_equal(played_a, played_b)
+        assert explored_a == explored_b
 
     def test_estimate_formula(self):
         # d=4, eta=0.1, coordinate 1 (0-based), observed 0.5 -> entry 20
@@ -85,17 +102,26 @@ class TestStepFeedback:
     def test_estimates_passed_to_inner_booster_match_formula(self):
         # the inner booster receives the sparse estimate as a linear loss
         # (its learners then see that loss's extension gradients)
+        # a basis vector marks an explored round: the inner learners play
+        # the centroid
         bb = _make_bandit(dim=3, explore_rate=0.5, seed=11, n_learners=1)
+        inner_losses = _record_inner_losses(bb)
+        played = []
         for t in range(100):
-            bb.step([float(t)])
+            played.append(bb.step([float(t)]))
             bb.feedback(0.7)
-        for entry, (_, loss, _) in zip(bb.round_log, bb.inner._history):
-            if entry["explored"]:
+        assert len(inner_losses) == 100
+        explored_rounds = 0
+        for point, loss in zip(played, inner_losses):
+            explored = np.count_nonzero(point) == 1
+            explored_rounds += explored
+            if explored:
                 expected = np.zeros(3)
-                expected[entry["coordinate"]] = (3 / 0.5) * 0.7
+                expected[int(np.argmax(point))] = (3 / 0.5) * 0.7
                 np.testing.assert_allclose(loss.direction, expected)
             else:
                 np.testing.assert_allclose(loss.direction, np.zeros(3))
+        assert bb.explored_rounds == explored_rounds
 
     def test_estimator_magnitude_bound(self, rng):
         d, eta = 5, 0.2
@@ -240,3 +266,16 @@ class TestFromConfig:
                   "learner": {"kind": "uniform"}, "eta_rule": "harmonic"}
         with pytest.raises(ConfigError, match=r"unknown keys \['eta_rule'\]"):
             BanditBooster.from_config(Simplex(3), config, feature_dim=1)
+
+    def test_malformed_numbers_named(self):
+        record = {"N": 2, "gamma": 0.5, "lipschitz": 4.0,
+                  "learner": {"kind": "uniform"}}
+        cases = [
+            (dict(record, explore_rate="high"), "'explore_rate' must be a number"),
+            (dict(record, horizon="100"), "'horizon' must be an integer"),
+            (dict(record, explore_rate=0.3, weak_regret_bound="small"),
+             "'weak_regret_bound' must be a number"),
+        ]
+        for bad, match in cases:
+            with pytest.raises(ConfigError, match=match):
+                BanditBooster.from_config(Simplex(3), bad, feature_dim=1)

@@ -71,6 +71,19 @@ class TestProx:
         assert not info.converged
         assert info.residual > 0
 
+    def test_zero_budget_rejected(self):
+        # with no iteration the iterative prox would return its start point:
+        # a zero gradient flagged only as unconverged
+        iv = Interval(-1.0, 1.0)
+        loss = CallableLoss(lambda x: float(x @ x), lambda x: 2.0 * x,
+                            curvature_hint=2.0)
+        with pytest.raises(ConfigError, match="prox_budget"):
+            ExtendedLoss(loss, iv, delta=0.5, kappa=1.0, budget=0)
+        with pytest.raises(ConfigError, match="prox_budget"):
+            prox(loss, iv, kappa=1.0, delta=0.5, x=[3.0], budget=0)
+        with pytest.raises(ConfigError, match="prox_tol"):
+            prox(loss, iv, kappa=1.0, delta=0.5, x=[3.0], tol=0.0)
+
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):
             prox(_zero_loss(1), Interval(-1, 1), kappa=1.0, delta=0.0, x=[0.0])

@@ -341,10 +341,10 @@ def test_fit_rejects_bad_config():
     oracle = _two_point_oracle()
     wopt = ErmWeakOptimizer(_constant_hyps([-0.5, 0.1, 0.9]), gamma=0.5,
                             exact=True)
-    with pytest.raises(ConfigError, match=r"unknown keys \['eta_rule'\]"):
-        fit_from_config(oracle, wopt, iv, {"N": 2, "gamma": 0.5,
-                                           "lipschitz": 8.0,
-                                           "eta_rule": "two_over_i"})
+    for key, value in (("eta_rule", "two_over_i"), ("seed", 7)):
+        with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
+            fit_from_config(oracle, wopt, iv, {"N": 2, "gamma": 0.5,
+                                               "lipschitz": 8.0, key: value})
     for prox_settings, match in (({"prox_budget": 0}, "prox_budget"),
                                  ({"prox_tol": 0.0}, "prox_tol")):
         with pytest.raises(ConfigError, match=match):
