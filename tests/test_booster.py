@@ -11,7 +11,7 @@ from ocoboost.errors import ConfigError, ProtocolError
 from ocoboost.extension import ExtendedLoss
 from ocoboost.geometry import Ball, Box, Interval, Simplex
 from ocoboost.losses import CallableLoss, LinearLoss, QuadraticLoss
-from ocoboost.testkit import finite_diff_grad
+from ocoboost.testkit import finite_diff_grad, hull_optimum
 from ocoboost.weak import ScaledLeaderOracle, UniformBaseline, WeakLearner
 
 
@@ -175,19 +175,39 @@ class TestUpdate:
             booster.update(LinearLoss([1.0, 0.0]), stale)
 
 
-class TestRunningTotals:
-    def test_realized_loss_sums_played_values(self, rng):
+class TestRegretReport:
+    """Regret is measured by the caller: ``realized_loss`` minus a
+    comparator's cumulative loss on the same stream."""
+
+    def test_played_sequence_comparator_is_zero(self, rng):
         ball = Ball(2, 1.0)
         booster = _fixed_booster(ball, [np.array([0.2, 0.1]),
                                         np.array([-0.4, 0.3])], gamma=0.5)
-        expected = 0.0
+        played_loss = 0.0
         for _ in range(10):
             played, traj = booster.predict(rng.standard_normal(1))
             loss = LinearLoss(rng.standard_normal(2))
             booster.update(loss, traj)
-            expected += loss.value(played)
-        assert booster.realized_loss == expected
+            played_loss += loss.value(played)
+        assert booster.realized_loss - played_loss == 0.0
 
+    def test_single_hypothesis(self, rng):
+        ball = Ball(2, 1.0)
+        booster = _fixed_booster(ball, [np.array([0.2, 0.1])], gamma=1.0)
+        losses = [LinearLoss(rng.standard_normal(2)) for _ in range(10)]
+        contexts = [rng.standard_normal(1) for _ in range(10)]
+        for c, loss in zip(contexts, losses):
+            _, traj = booster.predict(c)
+            booster.update(loss, traj)
+        h = lambda c: np.array([0.5, 0.0])
+        expected = booster.realized_loss - sum(
+            loss.value(h(c)) for loss, c in zip(losses, contexts))
+        # the one-point hull's optimum is the hypothesis itself
+        oracle = hull_optimum([h], losses, contexts)
+        assert booster.realized_loss - oracle.value == pytest.approx(expected)
+
+
+class TestRunningTotals:
     def test_prox_counters(self):
         # a quadratic written as a CallableLoss runs the iterative prox; one
         # iteration at tol 1e-14 leaves every solve unconverged
