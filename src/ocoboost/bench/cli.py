@@ -99,6 +99,8 @@ def _rows_to_text(headers, rows, fmt: str) -> str:
 
 
 def _cmd_synth(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     if args.scenario == "oco":
         n_values = args.n or (4, 16, 64)
         horizon = args.horizon or 5000
@@ -114,7 +116,11 @@ def _cmd_synth(args) -> int:
         horizon = args.horizon or 4000
         rate = args.explore_rate
         if rate != "auto":
-            rate = float(rate)
+            try:
+                rate = float(rate)
+            except ValueError:
+                raise ConfigError("--explore-rate must be 'auto' or a number, "
+                                  f"got {rate!r}") from None
         n = (args.n or (16,))[0]
         regrets = []
         rates = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class ExperimentConfig:
     target_col: str | int | None = None
     data_dir: str | None = None
     check_streams: bool = False
-    learner_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.runs < 1:
@@ -56,8 +55,8 @@ class ExperimentConfig:
         bad = [k for k in self.learners if k not in LEARNER_LABELS]
         if bad:
             raise ConfigError(f"unknown learner kinds: {bad}")
-        if any(n < 1 for n in self.n_values):
-            raise ConfigError("ensemble sizes must be >= 1")
+        if not self.n_values or any(n < 1 for n in self.n_values):
+            raise ConfigError("need at least one ensemble size, each >= 1")
 
 
 def square_loss_gradient_bound(interval: Interval, gamma: float,
@@ -68,14 +67,12 @@ def square_loss_gradient_bound(interval: Interval, gamma: float,
     half = 0.5 * interval.diameter
     reach0 = half * (1.0 + 1.0 / gamma)
     g0 = 2.0 * reach0
-    delta0 = default_delta(interval.diameter, gamma, n_learners, g0, "balanced")
+    delta0 = default_delta(interval.diameter, gamma, n_learners, g0)
     return 2.0 * (reach0 + delta0 * g0)
 
 
 def _learner_spec(kind, cfg: ExperimentConfig, seed: int) -> dict:
-    spec = {"kind": kind, "seed": seed, "step": cfg.step}
-    spec.update(cfg.learner_params.get(kind, {}))
-    return spec
+    return {"kind": kind, "seed": seed, "step": cfg.step}
 
 
 class _Runner:

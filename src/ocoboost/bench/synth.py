@@ -20,6 +20,7 @@ import numpy as np
 
 from ..bandit import BanditBooster, default_explore_rate
 from ..booster import BoosterConfig, OnlineBooster
+from ..errors import ConfigError
 from ..extension import default_delta
 from ..geometry import Ball, Interval, Simplex
 from ..losses import LinearLoss, QuadraticLoss, ScaledLoss
@@ -53,8 +54,7 @@ def _project_ball_rows(points: np.ndarray, radius: float = 1.0) -> np.ndarray:
 
 
 def oco_scenario(n_learners: int, horizon: int = 5000, gamma: float = 0.5,
-                 seed: int = 0, noise: float = 0.5,
-                 oracle_mode: str = "ftl") -> dict:
+                 seed: int = 0, noise: float = 0.5) -> dict:
     """One full-information run; returns the measured regret against the
     convex hull of the reference policies (``comparator`` is the hull's
     cumulative loss) plus the matching bound pieces."""
@@ -74,8 +74,7 @@ def oco_scenario(n_learners: int, horizon: int = 5000, gamma: float = 0.5,
                   for j in range(OCO_N_HYPOTHESES)]
 
     def factory(i, recentered):
-        return ScaledLeaderOracle(hypotheses, gamma, recentered,
-                                  mode=oracle_mode, scale=2.0)
+        return ScaledLeaderOracle(hypotheses, gamma, recentered, scale=2.0)
 
     cfg = BoosterConfig(n_learners=n_learners, gamma=gamma, lipschitz=1.0)
     booster = OnlineBooster(ball, factory, cfg)
@@ -148,6 +147,8 @@ def bandit_scenario(horizon: int, n_learners: int = 16, gamma: float = 0.5,
     if rate == "auto":
         rate = default_explore_rate(BANDIT_ARMS, horizon, n_learners, gamma,
                                     weak_regret_bound)
+    if not 0.0 < rate <= 1.0:
+        raise ConfigError(f"explore_rate must lie in (0, 1], got {rate}")
     # gradient bound of the sparse estimates, used for the inner defaults
     estimate_bound = BANDIT_ARMS * 1.0 / rate
 
@@ -202,7 +203,7 @@ def sco_gradient_bound(gamma: float, n_stages: int) -> float:
     by the smoothing slack."""
     reach0 = 1.0 / gamma + max(abs(t) for t in SCO_TARGETS)
     g0 = 2.0 * reach0
-    delta0 = default_delta(2.0, gamma, n_stages, g0, "balanced")
+    delta0 = default_delta(2.0, gamma, n_stages, g0)
     return 2.0 * (reach0 + delta0 * g0)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, check_record
 from .extension import (DEFAULT_BUDGET, DEFAULT_TOL, ExtendedLoss,
                         check_prox_settings, default_delta)
 from .geometry import DecisionSet, as_point
@@ -30,13 +30,12 @@ def step_sizes(n: int) -> list[float]:
 
 @dataclass
 class BoosterConfig:
-    """Knobs for one boosting run.
+    """Knobs for one boosting run, and the one place they are checked.
 
     ``lipschitz`` is the gradient bound G over the working region (the
     recentered set scaled by 1/gamma); it seeds the default smoothing
     radius and the default distance-penalty weight kappa = G. It may be
     omitted only when both delta and kappa are given explicitly.
-    ``x0_rule`` is "centroid" or a start point in original coordinates.
     """
 
     n_learners: int
@@ -44,8 +43,6 @@ class BoosterConfig:
     lipschitz: float | None = None
     delta: float | None = None
     kappa: float | None = None
-    delta_rule: str = "balanced"
-    x0_rule: str = "centroid"
     prox_budget: int = DEFAULT_BUDGET
     prox_tol: float = DEFAULT_TOL
 
@@ -60,20 +57,24 @@ class BoosterConfig:
             raise ConfigError("kappa must be nonnegative")
         if self.lipschitz is not None and self.lipschitz <= 0:
             raise ConfigError("lipschitz must be positive")
+        if self.lipschitz is None and (self.delta is None or self.kappa is None):
+            raise ConfigError("need lipschitz unless both delta and kappa are given")
         check_prox_settings(self.prox_budget, self.prox_tol)
-        if not (isinstance(self.x0_rule, str) and self.x0_rule == "centroid"):
-            try:
-                as_point(self.x0_rule, name="x0_rule")
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"x0_rule must be 'centroid' or a point: {exc}") from exc
+
+    def smoothing(self, diameter: float) -> tuple[float, float]:
+        """(delta, kappa) for a set of this diameter: the given values, else
+        the balanced radius ``default_delta`` and kappa = G."""
+        delta = self.delta
+        if delta is None:
+            delta = default_delta(diameter, self.gamma, self.n_learners,
+                                  self.lipschitz)
+        return delta, (self.kappa if self.kappa is not None else self.lipschitz)
 
 
 @dataclass
 class RoundTrajectory:
     """Stage points x^0..x^N of one round, kept between predict and update."""
 
-    round_index: int
     stages: np.ndarray          # (N+1, d), recentered coordinates
     learner_plays: np.ndarray   # (N, d), recentered coordinates
     played: np.ndarray          # original coordinates
@@ -102,26 +103,7 @@ class OnlineBooster:
         self.learners = [learner_factory(i, self.set_c)
                          for i in range(config.n_learners)]
 
-        g_bound = config.lipschitz
-        if config.delta is not None:
-            self.delta = config.delta
-        else:
-            self.delta = default_delta(set_.diameter, config.gamma,
-                                       config.n_learners, g_bound,
-                                       config.delta_rule)
-        if config.kappa is not None:
-            self.kappa = config.kappa
-        elif g_bound is not None:
-            self.kappa = g_bound
-        else:
-            raise ConfigError("need either kappa or lipschitz to set the "
-                              "distance penalty weight")
-
-        if config.x0_rule == "centroid":
-            self._x0 = np.zeros(set_.dim)
-        else:
-            self._x0 = as_point(config.x0_rule, set_.dim) - self.offset
-
+        self.delta, self.kappa = config.smoothing(set_.diameter)
         self.rounds_done = 0
         self._last_traj: RoundTrajectory | None = None
         self.realized_loss = 0.0
@@ -136,14 +118,13 @@ class OnlineBooster:
         n, d = self.n_learners, self.set_c.dim
         stages = np.empty((n + 1, d))
         plays = np.empty((n, d))
-        stages[0] = self._x0
+        stages[0] = 0.0  # the centroid, in recentered coordinates
         for i in range(n):
             plays[i] = self.learners[i].predict(context)
             eta = self.etas[i]
             stages[i + 1] = (1.0 - eta) * stages[i] + (eta / self.gamma) * plays[i]
         played_c = self.set_c._project(stages[n])
-        traj = RoundTrajectory(round_index=self.rounds_done + 1,
-                               stages=stages, learner_plays=plays,
+        traj = RoundTrajectory(stages=stages, learner_plays=plays,
                                played=played_c + self.offset)
         self._last_traj = traj
         return traj.played.copy(), traj
@@ -153,9 +134,6 @@ class OnlineBooster:
             raise ProtocolError(
                 "update requires the trajectory from the immediately "
                 "preceding predict of this round")
-        if trajectory.round_index != self.rounds_done + 1:
-            raise ProtocolError(
-                f"round {trajectory.round_index} was already updated")
 
         loss_c = (loss if not np.any(self.offset)
                   else ShiftedLoss(loss, self.offset))
@@ -182,30 +160,16 @@ class OnlineBooster:
         return cls(set_, factory, booster_config)
 
 
-def check_record(record: dict, required, optional, what: str) -> None:
-    """Raise ``ConfigError`` naming a record's unknown keys, or else its
-    missing required ones. Each required entry is a tuple of alternative
-    names, the first of which is reported."""
-    unknown = sorted(set(record) - set(optional).union(*required))
-    if unknown:
-        raise ConfigError(f"{what} has unknown keys {unknown}")
-    missing = [names[0] for names in required
-               if not any(name in record for name in names)]
-    if missing:
-        raise ConfigError(f"{what} is missing {missing}")
-
-
 def parse_booster_record(record: dict, feature_dim: int):
     """Parse {N (or n_learners), gamma, learner: {...}, lipschitz?, delta?,
-    kappa?, delta_rule?, x0_rule?, seed?} into (BoosterConfig, learner
-    factory, seed).
+    kappa?, seed?} into (BoosterConfig, learner factory, seed).
 
     Learner i is built from the learner spec with seed ``seed * 100003 + i``
     and, unless the spec sets its own, the booster's gamma. Missing and
     unknown keys raise ``ConfigError`` naming them.
     """
     check_record(record, (("N", "n_learners"), ("gamma",), ("learner",)),
-                 ("lipschitz", "delta", "kappa", "delta_rule", "x0_rule", "seed"),
+                 ("lipschitz", "delta", "kappa", "seed"),
                  "booster config")
     try:
         n = int(record.get("n_learners", record.get("N")))
@@ -217,9 +181,7 @@ def parse_booster_record(record: dict, feature_dim: int):
     config = BoosterConfig(
         n_learners=n, gamma=gamma,
         lipschitz=record.get("lipschitz"),
-        delta=record.get("delta"), kappa=record.get("kappa"),
-        delta_rule=record.get("delta_rule", "balanced"),
-        x0_rule=record.get("x0_rule", "centroid"))
+        delta=record.get("delta"), kappa=record.get("kappa"))
     learner_spec.setdefault("gamma", gamma)
 
     def factory(i, recentered):

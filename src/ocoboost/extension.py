@@ -50,19 +50,13 @@ def check_prox_settings(budget: int, tol: float) -> None:
 
 
 def default_delta(diameter: float, gamma: float, n_learners: int,
-                  lipschitz: float | None = None, rule: str = "balanced") -> float:
-    """Smoothing radius for an N-learner boosting run.
-
-    "balanced" equalizes the smoothing and mixing error terms and needs the
-    gradient bound; "stated" is the simpler diameter-only rule.
-    """
-    if rule == "balanced":
-        if lipschitz is None or lipschitz <= 0:
-            raise ConfigError("balanced delta rule needs a positive gradient bound")
-        return diameter / (lipschitz * gamma * np.sqrt(n_learners))
-    if rule == "stated":
-        return float(np.sqrt(diameter ** 2 / (gamma * n_learners)))
-    raise ConfigError(f"unknown delta rule '{rule}'")
+                  lipschitz: float | None = None) -> float:
+    """Smoothing radius for an N-learner boosting run: D / (G gamma sqrt(N)),
+    which balances the smoothing and mixing error terms and needs the
+    gradient bound G."""
+    if lipschitz is None or lipschitz <= 0:
+        raise ConfigError("the smoothing radius needs a positive gradient bound")
+    return diameter / (lipschitz * gamma * np.sqrt(n_learners))
 
 
 def _as_linear(loss: ConvexLoss):

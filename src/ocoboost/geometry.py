@@ -1,9 +1,7 @@
-"""Convex decision sets: projection, distance, scaling, recentering.
+"""Convex decision sets: projection, distance, recentering.
 
 All sets operate on 1-D float64 arrays. Projections are analytic, so the
-membership tolerance is a tight ``MEMBERSHIP_TOL``. Scaling is a pure
-dilation about the origin; callers that want scaling about the centroid
-recenter first.
+membership tolerance is a tight ``MEMBERSHIP_TOL``.
 
 Public methods validate their inputs; the underscored ``_project`` /
 ``_distance`` variants skip validation and exist for the per-round inner
@@ -68,9 +66,6 @@ class DecisionSet:
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol
 
-    def scale(self, c: float) -> "DecisionSet":
-        raise NotImplementedError
-
     def shift(self, offset) -> "DecisionSet":
         return ShiftedSet(self, as_point(offset, self.dim, "offset"))
 
@@ -81,10 +76,6 @@ class DecisionSet:
             return self, np.zeros(self.dim)
         return self.shift(-offset), offset
 
-    def linear_minimizer(self, direction) -> np.ndarray:
-        """A minimizer of ``direction . x`` over the set."""
-        raise NotImplementedError
-
     def farthest_distance(self, point) -> float:
         """An upper bound on ``max_{x in set} ||x - point||`` (exact where noted)."""
         point = as_point(point, self.dim)
@@ -93,13 +84,6 @@ class DecisionSet:
     def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
         """Uniform samples from the set (used by tests and Monte-Carlo checks)."""
         raise NotImplementedError
-
-
-def _check_scale_positive(c):
-    c = float(c)
-    if not np.isfinite(c) or c <= 0.0:
-        raise ConfigError(f"scale factor must be positive, got {c}")
-    return c
 
 
 class Ball(DecisionSet):
@@ -134,19 +118,8 @@ class Ball(DecisionSet):
         v = x - self.center
         return max(0.0, math.sqrt(float(v @ v)) - self.radius)
 
-    def scale(self, c: float) -> "Ball":
-        c = _check_scale_positive(c)
-        return Ball(self.dim, c * self.radius, c * self.center)
-
     def shift(self, offset) -> "Ball":
         return Ball(self.dim, self.radius, self.center + as_point(offset, self.dim))
-
-    def linear_minimizer(self, direction) -> np.ndarray:
-        g = as_point(direction, self.dim)
-        norm = np.linalg.norm(g)
-        if norm == 0.0:
-            return self.center.copy()
-        return self.center - g * (self.radius / norm)
 
     def farthest_distance(self, point) -> float:
         point = as_point(point, self.dim)
@@ -182,18 +155,9 @@ class Box(DecisionSet):
     def _project(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
 
-    def scale(self, c: float) -> "Box":
-        c = _check_scale_positive(c)
-        return type(self)(c * self.lower, c * self.upper)
-
     def shift(self, offset) -> "Box":
         off = as_point(offset, self.dim)
         return type(self)(self.lower + off, self.upper + off)
-
-    def linear_minimizer(self, direction) -> np.ndarray:
-        g = as_point(direction, self.dim)
-        mid = self.centroid
-        return np.where(g > 0, self.lower, np.where(g < 0, self.upper, mid))
 
     def farthest_distance(self, point) -> float:
         point = as_point(point, self.dim)
@@ -219,10 +183,6 @@ class Interval(Box):
     @property
     def hi(self) -> float:
         return float(self.upper[0])
-
-    def scale(self, c: float) -> "Interval":
-        c = _check_scale_positive(c)
-        return Interval(c * self.lo, c * self.hi)
 
     def shift(self, offset) -> "Interval":
         off = as_point(offset, 1)
@@ -261,16 +221,6 @@ class Simplex(DecisionSet):
         theta = css[mask][-1] / idx[mask][-1]
         return np.maximum(x - theta, 0.0)
 
-    def scale(self, c: float) -> "Simplex":
-        c = _check_scale_positive(c)
-        return Simplex(self.dim, c * self.total)
-
-    def linear_minimizer(self, direction) -> np.ndarray:
-        g = as_point(direction, self.dim)
-        out = np.zeros(self.dim)
-        out[int(np.argmin(g))] = self.total
-        return out
-
     def farthest_distance(self, point) -> float:
         point = as_point(point, self.dim)
         vertices = self.total * np.eye(self.dim)
@@ -304,15 +254,8 @@ class ShiftedSet(DecisionSet):
     def _distance(self, x: np.ndarray) -> float:
         return self.base._distance(x - self.offset)
 
-    def scale(self, c: float) -> "ShiftedSet":
-        c = _check_scale_positive(c)
-        return ShiftedSet(self.base.scale(c), c * self.offset)
-
     def shift(self, offset) -> "ShiftedSet":
         return ShiftedSet(self.base, self.offset + as_point(offset, self.dim))
-
-    def linear_minimizer(self, direction) -> np.ndarray:
-        return self.base.linear_minimizer(direction) + self.offset
 
     def farthest_distance(self, point) -> float:
         point = as_point(point, self.dim)
@@ -343,12 +286,6 @@ class CustomSet(DecisionSet):
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return as_point(self._project_fn(x), self.dim, "projection output")
-
-    def scale(self, c: float) -> "CustomSet":
-        c = _check_scale_positive(c)
-        fn = self._project_fn
-        return CustomSet(self.dim, lambda x: c * fn(np.asarray(x) / c),
-                         c * self._diameter, c * self._centroid)
 
 
 def set_from_config(config: dict) -> DecisionSet:

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .booster import check_record, step_sizes
-from .errors import ConfigError, StageError
-from .extension import (DEFAULT_BUDGET, DEFAULT_TOL, ExtendedLoss,
-                        check_prox_settings, default_delta)
+from .booster import BoosterConfig, step_sizes
+from .errors import ConfigError, StageError, check_record
+from .extension import DEFAULT_BUDGET, DEFAULT_TOL, ExtendedLoss
 from .geometry import DecisionSet, as_point
 from .losses import LinearLoss, ShiftedLoss
 
@@ -195,29 +194,19 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
                            n_stages: int, gamma: float, stage_budget: int,
                            delta: float | None = None, kappa: float | None = None,
                            lipschitz: float | None = None,
-                           delta_rule: str = "balanced",
-                           initial_hypothesis=None,
                            prox_budget: int = DEFAULT_BUDGET,
                            prox_tol: float = DEFAULT_TOL) -> BoostedHypothesis:
     """Run N boosting stages against a sampling oracle and return the
     projected mixture hypothesis. Total sample cost is n_stages * stage_budget
-    (sampled weak optimizers consume a fresh budget per stage)."""
-    if n_stages < 1:
-        raise ConfigError("n_stages must be >= 1")
-    if not 0.0 < gamma <= 1.0:
-        raise ConfigError("gamma must be in (0, 1]")
-    check_prox_settings(prox_budget, prox_tol)
+    (sampled weak optimizers consume a fresh budget per stage). The settings
+    are checked, and delta and kappa resolved, as a ``BoosterConfig`` with
+    N = n_stages; the fit starts at the centroid with no components."""
+    config = BoosterConfig(n_learners=n_stages, gamma=gamma,
+                           lipschitz=lipschitz, delta=delta, kappa=kappa,
+                           prox_budget=prox_budget, prox_tol=prox_tol)
+    delta, kappa = config.smoothing(set_.diameter)
     set_c, offset = set_.recenter()
-    if delta is None:
-        delta = default_delta(set_.diameter, gamma, n_stages, lipschitz, delta_rule)
-    if kappa is None:
-        if lipschitz is None:
-            raise ConfigError("need either kappa or lipschitz")
-        kappa = lipschitz
-
-    if initial_hypothesis is None:
-        initial_hypothesis = ConstantHypothesis(np.zeros(set_c.dim), name="centroid")
-    components = [(1.0, initial_hypothesis)]
+    components = []
     etas = step_sizes(n_stages)
 
     def extend(loss):
@@ -236,10 +225,7 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
         losses, contexts, probs = zip(*support)
         atoms = [extend(loss) for loss in losses], contexts, probs
         del support  # its (loss, context, p) tuples are not needed again
-        try:
-            points = evaluate(initial_hypothesis, contexts)
-        except Exception as exc:
-            raise StageError(1, str(exc)) from exc
+        points = np.zeros((len(contexts), set_c.dim))
 
     for i in range(n_stages):
         stage_oracle = _StageOracle(
@@ -262,12 +248,12 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
 def fit_from_config(oracle: SampleOracle, weak_optimizer, set_: DecisionSet,
                     config: dict) -> BoostedHypothesis:
     """Drive a fit from a JSON-compatible record:
-    {N (or n_stages), gamma, delta?, kappa?, lipschitz?, delta_rule?,
-    stage_budget (or m)?}. The weak optimizer and the oracle hold callables
-    and their own seeds, so they are passed programmatically."""
+    {N (or n_stages), gamma, delta?, kappa?, lipschitz?, stage_budget (or
+    m)?}. The weak optimizer and the oracle hold callables and their own
+    seeds, so they are passed programmatically."""
     check_record(config, (("N", "n_stages"), ("gamma",)),
-                 ("delta", "kappa", "lipschitz", "delta_rule", "stage_budget",
-                  "m"), "fit config")
+                 ("delta", "kappa", "lipschitz", "stage_budget", "m"),
+                 "fit config")
     try:
         n = int(config.get("n_stages", config.get("N")))
         gamma = float(config["gamma"])
@@ -277,8 +263,7 @@ def fit_from_config(oracle: SampleOracle, weak_optimizer, set_: DecisionSet,
     return fit_boosted_hypothesis(
         oracle, weak_optimizer, set_, n_stages=n, gamma=gamma,
         stage_budget=budget, delta=config.get("delta"),
-        kappa=config.get("kappa"), lipschitz=config.get("lipschitz"),
-        delta_rule=config.get("delta_rule", "balanced"))
+        kappa=config.get("kappa"), lipschitz=config.get("lipschitz"))
 
 
 def population_loss(hypothesis, oracle: SampleOracle, n_samples: int):

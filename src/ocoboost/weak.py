@@ -10,7 +10,7 @@ the gradient-boosting mold. Each keeps a full-scale internal predictor u
 and plays the projection of gamma * u(c). A linear loss with direction g
 is read as the gradient of a square loss at a stage point the learner can
 reconstruct: the point is 0 for ``anchor="zero"`` (true for the first
-ensemble slot under the centroid start rule) and u(c) for
+ensemble slot, whose stage point is the centroid) and u(c) for
 ``anchor="self"`` (the ensemble-consensus approximation, exact for a
 standalone learner). The implied regression target ``anchor_point - g/2``
 drives an online least-squares step. Minimizing the linear objective
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, check_record
 from .geometry import DecisionSet, as_point
 from .losses import LinearLoss
 
@@ -160,17 +160,13 @@ class DecisionStump(WeakLearner):
     to split on follows the leader by accumulated realized linear loss.
     During warm-up the stump plays the centroid.
 
-    Leaf actions: with ``leaf_mode="mean"`` (default) each cell's internal
-    leaf is the running mean of the targets implied by its linear losses,
-    and the stump plays the projection of gamma times that leaf.
-    ``leaf_mode="ftl"`` instead plays the set's minimizer of the cell's
-    accumulated loss direction; on an interval that is always an endpoint,
-    which destabilizes boosted regression, hence the mean-leaf default.
+    Each cell's internal leaf is the running mean of the targets implied by
+    its linear losses, and the stump plays the projection of gamma times
+    that leaf.
     """
 
     def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
-                 bins: int = 16, warmup: int = 50, leaf_mode: str = "mean",
-                 anchor: str = "self"):
+                 bins: int = 16, warmup: int = 50, anchor: str = "self"):
         super().__init__(set_)
         if feature_dim < 1:
             raise ConfigError("feature_dim must be >= 1")
@@ -178,15 +174,12 @@ class DecisionStump(WeakLearner):
             raise ConfigError("need at least 2 bins")
         if warmup < 1:
             raise ConfigError("warmup must be >= 1")
-        if leaf_mode not in ("mean", "ftl"):
-            raise ConfigError(f"unknown leaf_mode '{leaf_mode}'")
         if anchor not in ("self", "zero"):
             raise ConfigError(f"unknown anchor '{anchor}'")
         self.feature_dim = int(feature_dim)
         self.gamma = float(gamma)
         self.bins = int(bins)
         self.warmup = int(warmup)
-        self.leaf_mode = leaf_mode
         self.anchor = anchor
         self.reset()
 
@@ -195,7 +188,6 @@ class DecisionStump(WeakLearner):
         self._last_context = None
         self._buffer = []
         self.edges = None
-        self.cum_g = np.zeros((self.feature_dim, self.bins, self.action_dim))
         self.counts = np.zeros((self.feature_dim, self.bins), dtype=np.int64)
         self.leaves = np.zeros((self.feature_dim, self.bins, self.action_dim))
         self.feat_loss = np.zeros(self.feature_dim)
@@ -204,12 +196,7 @@ class DecisionStump(WeakLearner):
         return int(np.searchsorted(self.edges[feature], value, side="right"))
 
     def _leaf_action(self, feature: int, bin_: int) -> np.ndarray:
-        if self.leaf_mode == "mean":
-            return self.set_._project(self.gamma * self.leaves[feature, bin_])
-        g_cell = self.cum_g[feature, bin_]
-        if not np.any(g_cell):
-            return self.set_.centroid
-        return self.set_.linear_minimizer(g_cell)
+        return self.set_._project(self.gamma * self.leaves[feature, bin_])
 
     def predict(self, context) -> np.ndarray:
         c = self._remember(context)
@@ -242,13 +229,11 @@ class DecisionStump(WeakLearner):
         for j in range(self.feature_dim):
             b = self._bin_index(j, context[j])
             self.feat_loss[j] += float(g @ self._leaf_action(j, b))
-            self.cum_g[j, b] += g
-            if self.leaf_mode == "mean":
-                self.counts[j, b] += 1
-                leaf = self.leaves[j, b]
-                base = leaf if self.anchor == "self" else 0.0
-                target = base - 0.5 * g
-                self.leaves[j, b] = leaf + (target - leaf) / self.counts[j, b]
+            self.counts[j, b] += 1
+            leaf = self.leaves[j, b]
+            base = leaf if self.anchor == "self" else 0.0
+            target = base - 0.5 * g
+            self.leaves[j, b] = leaf + (target - leaf) / self.counts[j, b]
 
 
 def _step_at(step: float, power: float, rounds: int) -> float:
@@ -372,16 +357,34 @@ def empirical_gamma_regret(learner: WeakLearner, transcript, hypotheses) -> floa
     return total - learner.gamma * float(comparator.min())
 
 
+# keys every learner kind accepts: callers send the same base spec to each
+_COMMON_LEARNER_KEYS = ("kind", "gamma", "seed", "step", "anchor")
+_LEARNER_KEYS = {
+    "uniform": (),
+    "stump": ("bins", "warmup"),
+    "ridge": ("l2", "power"),
+    "mlp": ("hidden", "power"),
+    "synthetic_oracle": ("hypotheses", "mode", "scale"),
+}
+
+
 def learner_from_config(config: dict, set_: DecisionSet, feature_dim: int) -> WeakLearner:
     """Build a weak learner from a plain config record.
 
     kind in {stump, ridge, mlp, uniform, synthetic_oracle}; synthetic_oracle
     additionally needs a 'hypotheses' entry holding callables, so it is only
-    constructible programmatically.
+    constructible programmatically. A key the kind does not read raises
+    ``ConfigError`` naming it; gamma, seed, step and anchor are accepted by
+    every kind.
     """
     if "kind" not in config:
         raise ConfigError("learner config needs a 'kind' field")
     kind = config["kind"]
+    if kind not in _LEARNER_KEYS:
+        raise ConfigError(f"unknown learner kind '{kind}'")
+    required = (("hypotheses",),) if kind == "synthetic_oracle" else ()
+    check_record(config, required, _COMMON_LEARNER_KEYS + _LEARNER_KEYS[kind],
+                 f"{kind} learner config")
     gamma = float(config.get("gamma", 1.0))
     if kind == "uniform":
         return UniformBaseline(set_, gamma)
@@ -390,7 +393,6 @@ def learner_from_config(config: dict, set_: DecisionSet, feature_dim: int) -> We
         return DecisionStump(feature_dim, set_, gamma,
                              bins=int(config.get("bins", 16)),
                              warmup=int(config.get("warmup", 50)),
-                             leaf_mode=config.get("leaf_mode", "mean"),
                              anchor=anchor)
     if kind == "ridge":
         return OnlineRidge(feature_dim, set_, gamma,
@@ -405,10 +407,6 @@ def learner_from_config(config: dict, set_: DecisionSet, feature_dim: int) -> We
                        seed=int(config.get("seed", 0)),
                        power=float(config.get("power", 0.25)),
                        anchor=anchor)
-    if kind == "synthetic_oracle":
-        if "hypotheses" not in config:
-            raise ConfigError("synthetic_oracle needs a 'hypotheses' entry")
-        return ScaledLeaderOracle(config["hypotheses"], gamma, set_,
-                                  mode=config.get("mode", "ftl"),
-                                  scale=float(config.get("scale", 1.0)))
-    raise ConfigError(f"unknown learner kind '{kind}'")
+    return ScaledLeaderOracle(config["hypotheses"], gamma, set_,
+                              mode=config.get("mode", "ftl"),
+                              scale=float(config.get("scale", 1.0)))

@@ -268,6 +268,19 @@ class TestCli:
                      "--runs", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--scenario", "oco", "--seeds", "0"],
+        ["synth", "--scenario", "bandit", "--explore-rate", "high"],
+        ["synth", "--scenario", "bandit", "--explore-rate", "0"],
+        ["run", "--dataset", "synthetic", "--n", ""],
+    ])
+    def test_bad_values_exit_with_config_error(self, argv, capsys):
+        code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["run"])  # missing required --dataset

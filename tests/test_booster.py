@@ -85,15 +85,6 @@ class TestPredictRecurrence:
                                  + (etas[i] / 0.4) * traj.learner_plays[i])
         np.testing.assert_array_equal(recomputed, traj.stages)
 
-    def test_explicit_start_point_rule(self):
-        # an explicit x0 (original coordinates) feeds the first stage
-        iv = Interval(0.0, 2.0)
-        cfg = BoosterConfig(n_learners=1, gamma=1.0, lipschitz=1.0,
-                            x0_rule=np.array([1.5]))
-        booster = OnlineBooster(iv, lambda i, s: FixedLearner(s, [0.0]), cfg)
-        _, traj = booster.predict([0.0])
-        assert traj.stages[0][0] == pytest.approx(0.5)  # recentered 1.5
-
     def test_original_coordinates_round_trip(self):
         iv = Interval(0.0, 2.0)  # centroid 1.0
         booster = _fixed_booster(iv, [np.array([0.5])], gamma=1.0)
@@ -253,9 +244,6 @@ class TestTranscriptAndConfig:
             # neither kappa nor lipschitz
             OnlineBooster(Ball(2, 1.0), lambda i, s: UniformBaseline(s),
                           BoosterConfig(n_learners=1, gamma=0.5, delta=0.5))
-        with pytest.raises(ConfigError, match="x0_rule"):
-            BoosterConfig(n_learners=1, gamma=0.5, lipschitz=1.0,
-                          x0_rule="origin")
         with pytest.raises(ConfigError, match="prox_budget"):
             BoosterConfig(n_learners=1, gamma=0.5, lipschitz=1.0,
                           prox_budget=0)
@@ -271,6 +259,7 @@ class TestTranscriptAndConfig:
             ({k: v for k, v in record.items() if k != "N"}, r"missing \['N'\]"),
             (dict(record, eta_rule="two_over_i"), r"unknown keys \['eta_rule'\]"),
             (dict(record, x0_rule="origin"), "x0_rule"),
+            (dict(record, delta_rule="stated"), r"unknown keys \['delta_rule'\]"),
             (dict(record, N="two"), "malformed"),
         ]
         for bad, match in cases:

@@ -187,16 +187,12 @@ class TestExtendedLoss:
 
 class TestDefaultDelta:
     def test_balanced_rule(self):
-        val = default_delta(2.0, 0.5, 16, lipschitz=1.0, rule="balanced")
+        val = default_delta(2.0, 0.5, 16, lipschitz=1.0)
         assert val == pytest.approx(2.0 / (1.0 * 0.5 * 4.0))
-
-    def test_stated_rule(self):
-        val = default_delta(2.0, 0.5, 16, rule="stated")
-        assert val == pytest.approx(np.sqrt(4.0 / (0.5 * 16)))
 
     def test_balanced_needs_lipschitz(self):
         with pytest.raises(ConfigError):
-            default_delta(2.0, 0.5, 16, rule="balanced")
+            default_delta(2.0, 0.5, 16)
 
 
 def test_custom_loss_iterative_path(rng):

@@ -90,41 +90,6 @@ class TestDistance:
                 assert lhs <= np.linalg.norm(x - y) + 1e-12
 
 
-class TestScale:
-    def test_identity_scale(self, rng):
-        for set_ in set_families().values():
-            scaled = set_.scale(1.0)
-            for x in sample_near(set_, rng, 20):
-                np.testing.assert_allclose(scaled.project(x), set_.project(x),
-                                           atol=1e-12)
-
-    def test_ball_scale(self):
-        big = Ball(2, 1.0).scale(10.0)
-        assert big.diameter == pytest.approx(20.0)
-        np.testing.assert_allclose(big.project([20.0, 0.0]), [10.0, 0.0])
-
-    def test_box_scale_brute_force(self):
-        box = Box([0.0, 0.0], [1.0, 1.0]).scale(2.0)
-        proj = box.project([3.0, 3.0])
-        np.testing.assert_allclose(proj, [2.0, 2.0])
-        # grid brute force over the scaled box
-        ax = np.linspace(0, 2, 201)
-        xx, yy = np.meshgrid(ax, ax)
-        nodes = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        best = nodes[np.argmin(np.sum((nodes - [3.0, 3.0]) ** 2, axis=1))]
-        np.testing.assert_allclose(proj, best, atol=1e-9)
-
-    def test_diameter_scales(self):
-        for set_ in set_families().values():
-            assert set_.scale(2.5).diameter == pytest.approx(2.5 * set_.diameter)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ConfigError):
-            Ball(2, 1.0).scale(0.0)
-        with pytest.raises(ConfigError):
-            Simplex(3).scale(-2.0)
-
-
 class TestRecenter:
     def test_centered_ball_unchanged(self):
         ball = Ball(2, 1.0)
@@ -156,22 +121,6 @@ class TestRecenter:
 
 
 class TestHelpers:
-    def test_linear_minimizer_ball_box_simplex(self):
-        assert Ball(2, 2.0).linear_minimizer([1.0, 0.0]) == pytest.approx([-2.0, 0.0])
-        np.testing.assert_allclose(
-            Box([-1.0, -1.0], [2.0, 2.0]).linear_minimizer([1.0, -1.0]),
-            [-1.0, 2.0])
-        np.testing.assert_allclose(Simplex(3).linear_minimizer([0.3, -0.2, 0.4]),
-                                   [0.0, 1.0, 0.0])
-
-    def test_linear_minimizer_is_minimum(self, rng):
-        for set_ in set_families().values():
-            for _ in range(20):
-                g = rng.standard_normal(set_.dim)
-                best = float(g @ set_.linear_minimizer(g))
-                samples = set_.sample(rng, 500)
-                assert best <= float((samples @ g).min()) + 1e-9
-
     def test_farthest_distance_upper_bounds_samples(self, rng):
         for set_ in set_families().values():
             point = rng.standard_normal(set_.dim)
@@ -183,8 +132,6 @@ class TestHelpers:
         custom = CustomSet(2, lambda x: np.clip(x, -1, 1), diameter=2 * np.sqrt(2),
                            centroid=[0.0, 0.0])
         np.testing.assert_allclose(custom.project([3.0, 0.5]), [1.0, 0.5])
-        scaled = custom.scale(2.0)
-        np.testing.assert_allclose(scaled.project([3.0, 0.5]), [2.0, 0.5])
 
 
 class TestConfig:

@@ -341,7 +341,8 @@ def test_fit_rejects_bad_config():
     oracle = _two_point_oracle()
     wopt = ErmWeakOptimizer(_constant_hyps([-0.5, 0.1, 0.9]), gamma=0.5,
                             exact=True)
-    for key, value in (("eta_rule", "two_over_i"), ("seed", 7)):
+    for key, value in (("eta_rule", "two_over_i"), ("seed", 7),
+                       ("delta_rule", "stated")):
         with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
             fit_from_config(oracle, wopt, iv, {"N": 2, "gamma": 0.5,
                                                "lipschitz": 8.0, key: value})

@@ -147,15 +147,6 @@ class TestDecisionStump:
         diff = stump.counts - before
         assert np.all(diff.sum(axis=1) == 1)
 
-    def test_ftl_leaf_mode_plays_endpoints(self, rng):
-        iv = Interval(-1.0, 1.0)
-        stump = DecisionStump(1, iv, warmup=5, bins=2, leaf_mode="ftl")
-        for _ in range(5):
-            stump.predict(rng.standard_normal(1))
-            stump.update(LinearLoss([1.0]))
-        action = stump.predict(np.array([0.0]))
-        assert action[0] == pytest.approx(-1.0)  # positive loss: low endpoint
-
     def test_feature_dim_mismatch(self, rng):
         stump = DecisionStump(3, Interval(-1.0, 1.0))
         with pytest.raises(ConfigError):
@@ -266,3 +257,14 @@ class TestLearnerFromConfig:
             learner_from_config({"kind": "synthetic_oracle"}, iv, 3)
         with pytest.raises(ConfigError):
             learner_from_config({}, iv, 3)
+        # keys the kind does not read are named, not ignored
+        for spec, key in (({"kind": "stump", "leaf_mode": "ftl"}, "leaf_mode"),
+                          ({"kind": "stump", "bin": 8}, "bin"),
+                          ({"kind": "ridge", "hidden": 2}, "hidden"),
+                          ({"kind": "uniform", "warmup": 5}, "warmup")):
+            with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
+                learner_from_config(spec, iv, 3)
+        # the keys callers send to every kind stay accepted
+        common = {"gamma": 0.5, "seed": 3, "step": 0.02, "anchor": "zero"}
+        for kind in ("uniform", "stump", "ridge", "mlp"):
+            learner_from_config({"kind": kind, **common}, iv, 3)
