@@ -8,17 +8,16 @@ from .errors import (ConfigError, DataError, DimensionMismatch, NonFiniteInput,
                      OcoBoostError, ProtocolError, StageError)
 from .extension import ExtendedLoss, ProxInfo, default_delta, prox
 from .geometry import (Ball, Box, CustomSet, DecisionSet, Interval, MEMBERSHIP_TOL,
-                       ShiftedSet, Simplex, as_point, set_from_config)
+                       ShiftedSet, Simplex, as_point)
 from .losses import (CallableLoss, ConvexLoss, LinearLoss, QuadraticLoss,
                      ScaledLoss, ShiftedLoss, lipschitz_bound)
 from .statistical import (BoostedHypothesis, CallableSampleOracle,
                           ConstantHypothesis, ErmWeakOptimizer,
                           FiniteSupportOracle, SampleOracle, ScaledHypothesis,
                           exact_population_loss, fit_boosted_hypothesis,
-                          fit_from_config, population_loss)
+                          population_loss)
 from .weak import (DecisionStump, OnlineRidge, ScaledLeaderOracle, TinyMlp,
-                   UniformBaseline, WeakLearner, empirical_gamma_regret,
-                   learner_from_config)
+                   UniformBaseline, WeakLearner, empirical_gamma_regret)
 
 __version__ = "0.1.0"
 
@@ -29,15 +28,14 @@ __all__ = [
     "OcoBoostError", "ProtocolError", "StageError",
     "ExtendedLoss", "ProxInfo", "default_delta", "prox",
     "Ball", "Box", "CustomSet", "DecisionSet", "Interval", "MEMBERSHIP_TOL",
-    "ShiftedSet", "Simplex", "as_point", "set_from_config",
+    "ShiftedSet", "Simplex", "as_point",
     "CallableLoss", "ConvexLoss", "LinearLoss", "QuadraticLoss", "ScaledLoss",
     "ShiftedLoss", "lipschitz_bound",
     "BoostedHypothesis", "CallableSampleOracle", "ConstantHypothesis",
     "ErmWeakOptimizer", "FiniteSupportOracle", "SampleOracle",
     "ScaledHypothesis", "exact_population_loss", "fit_boosted_hypothesis",
-    "fit_from_config", "population_loss",
+    "population_loss",
     "DecisionStump", "OnlineRidge", "ScaledLeaderOracle", "TinyMlp",
     "UniformBaseline", "WeakLearner", "empirical_gamma_regret",
-    "learner_from_config",
     "__version__",
 ]

@@ -15,12 +15,10 @@ constructively at construction by projecting every basis vector.
 from __future__ import annotations
 
 import logging
-import numbers
 
 import numpy as np
 
-from .booster import (BoosterConfig, OnlineBooster, RoundTrajectory,
-                      parse_booster_record)
+from .booster import BoosterConfig, OnlineBooster, RoundTrajectory
 from .errors import ConfigError, NonFiniteInput, ProtocolError
 from .geometry import DecisionSet, as_point
 from .losses import LinearLoss
@@ -139,33 +137,3 @@ class BanditBooster:
         arm = int(self._arm_rng.choice(self.dim, p=probs))
         return arm, point
 
-    @classmethod
-    def from_config(cls, set_: DecisionSet, config: dict,
-                    feature_dim: int) -> "BanditBooster":
-        """Build from a JSON-compatible booster record (see
-        ``parse_booster_record``) extended with {explore_rate or "auto",
-        horizon (needed for auto), weak_regret_bound?}; its seed also seeds
-        the exploration streams."""
-        inner_keys = dict(config)
-        explore_rate = inner_keys.pop("explore_rate", "auto")
-        if explore_rate != "auto":
-            explore_rate = _number(explore_rate, "explore_rate")
-        horizon = inner_keys.pop("horizon", None)
-        if horizon is not None:
-            horizon = _number(horizon, "horizon", integer=True)
-        weak_regret_bound = _number(inner_keys.pop("weak_regret_bound", 0.0),
-                                    "weak_regret_bound")
-        inner_config, factory, seed = parse_booster_record(inner_keys, feature_dim)
-        return cls(set_, factory, inner_config, explore_rate=explore_rate,
-                   horizon=horizon, seed=seed,
-                   weak_regret_bound=weak_regret_bound)
-
-
-def _number(value, key: str, integer: bool = False):
-    """A bandit record's numeric value, or ``ConfigError`` naming its key."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"bandit config key '{key}' must be "
-                          f"{'an integer' if integer else 'a number'}, "
-                          f"got {value!r}")
-    return value

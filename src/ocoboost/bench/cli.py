@@ -101,6 +101,10 @@ def _rows_to_text(headers, rows, fmt: str) -> str:
 def _cmd_synth(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.horizon is not None and args.horizon < 1:
+        raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
+    if args.n is not None and (not args.n or min(args.n) < 1):
+        raise ConfigError("--n needs at least one size, each >= 1")
     if args.scenario == "oco":
         n_values = args.n or (4, 16, 64)
         horizon = args.horizon or 5000

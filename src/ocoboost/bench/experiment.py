@@ -22,7 +22,7 @@ from ..errors import ConfigError, DataError
 from ..extension import default_delta
 from ..geometry import Interval
 from ..losses import LinearLoss, QuadraticLoss
-from ..weak import learner_from_config
+from ..weak import DecisionStump, OnlineRidge, TinyMlp
 from .data import load_dataset
 
 LEARNER_LABELS = {
@@ -71,8 +71,17 @@ def square_loss_gradient_bound(interval: Interval, gamma: float,
     return 2.0 * (reach0 + delta0 * g0)
 
 
-def _learner_spec(kind, cfg: ExperimentConfig, seed: int) -> dict:
-    return {"kind": kind, "seed": seed, "step": cfg.step}
+def _make_learner(kind, set_c, feature_dim, cfg: ExperimentConfig,
+                  gamma: float, seed: int, anchor: str = "self"):
+    """A weak learner of this kind; ridge and the MLP take the configured
+    step, and only the MLP draws from its seed."""
+    if kind == "stump":
+        return DecisionStump(feature_dim, set_c, gamma, anchor=anchor)
+    if kind == "ridge":
+        return OnlineRidge(feature_dim, set_c, gamma, step=cfg.step,
+                           anchor=anchor)
+    return TinyMlp(feature_dim, set_c, gamma, step=cfg.step, seed=seed,
+                   anchor=anchor)
 
 
 class _Runner:
@@ -97,8 +106,8 @@ class _StandaloneRunner(_Runner):
         super().__init__(check_streams)
         self.set_c, offset = interval.recenter()
         self.offset = float(offset[0])
-        self.learner = learner_from_config(
-            _learner_spec(kind, cfg, seed), self.set_c, feature_dim)
+        self.learner = _make_learner(kind, self.set_c, feature_dim, cfg,
+                                     gamma=1.0, seed=seed)
 
     def round(self, context, target):
         self._observe(context, target)
@@ -117,11 +126,10 @@ class _BoostedRunner(_Runner):
                              lipschitz=g_bound)
 
         def factory(i, recentered):
-            spec = _learner_spec(kind, cfg, seed * 100003 + i)
-            spec["gamma"] = cfg.gamma
             # the first slot's incoming stage point is exactly the centroid
-            spec["anchor"] = "zero" if i == 0 else "self"
-            return learner_from_config(spec, recentered, feature_dim)
+            return _make_learner(kind, recentered, feature_dim, cfg,
+                                 gamma=cfg.gamma, seed=seed * 100003 + i,
+                                 anchor="zero" if i == 0 else "self")
 
         self.booster = OnlineBooster(interval, factory, bcfg)
 

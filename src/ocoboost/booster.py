@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, check_record
+from .errors import ConfigError, ProtocolError
 from .extension import (DEFAULT_BUDGET, DEFAULT_TOL, ExtendedLoss,
                         check_prox_settings, default_delta)
 from .geometry import DecisionSet, as_point
 from .losses import ConvexLoss, LinearLoss, ShiftedLoss
-from .weak import learner_from_config
 
 
 def step_sizes(n: int) -> list[float]:
@@ -51,12 +50,13 @@ class BoosterConfig:
             raise ConfigError("n_learners must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must be in (0, 1]")
-        if self.delta is not None and self.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if self.kappa is not None and self.kappa < 0:
-            raise ConfigError("kappa must be nonnegative")
-        if self.lipschitz is not None and self.lipschitz <= 0:
-            raise ConfigError("lipschitz must be positive")
+        if self.delta is not None and not 0 < self.delta < math.inf:
+            raise ConfigError(f"delta must be positive and finite, got {self.delta}")
+        if self.kappa is not None and not 0 <= self.kappa < math.inf:
+            raise ConfigError(f"kappa must be nonnegative and finite, got {self.kappa}")
+        if self.lipschitz is not None and not 0 < self.lipschitz < math.inf:
+            raise ConfigError("lipschitz must be positive and finite, "
+                              f"got {self.lipschitz}")
         if self.lipschitz is None and (self.delta is None or self.kappa is None):
             raise ConfigError("need lipschitz unless both delta and kappa are given")
         check_prox_settings(self.prox_budget, self.prox_tol)
@@ -68,6 +68,9 @@ class BoosterConfig:
         if delta is None:
             delta = default_delta(diameter, self.gamma, self.n_learners,
                                   self.lipschitz)
+        if not 0 < delta < math.inf:
+            raise ConfigError("smoothing radius must be positive and finite, "
+                              f"got {delta} for a set of diameter {diameter}")
         return delta, (self.kappa if self.kappa is not None else self.lipschitz)
 
 
@@ -152,41 +155,3 @@ class OnlineBooster:
         self.rounds_done += 1
         self._last_traj = None
 
-    @classmethod
-    def from_config(cls, set_: DecisionSet, config: dict,
-                    feature_dim: int) -> "OnlineBooster":
-        """Build from a JSON-compatible record (see ``parse_booster_record``)."""
-        booster_config, factory, _ = parse_booster_record(config, feature_dim)
-        return cls(set_, factory, booster_config)
-
-
-def parse_booster_record(record: dict, feature_dim: int):
-    """Parse {N (or n_learners), gamma, learner: {...}, lipschitz?, delta?,
-    kappa?, seed?} into (BoosterConfig, learner factory, seed).
-
-    Learner i is built from the learner spec with seed ``seed * 100003 + i``
-    and, unless the spec sets its own, the booster's gamma. Missing and
-    unknown keys raise ``ConfigError`` naming them.
-    """
-    check_record(record, (("N", "n_learners"), ("gamma",), ("learner",)),
-                 ("lipschitz", "delta", "kappa", "seed"),
-                 "booster config")
-    try:
-        n = int(record.get("n_learners", record.get("N")))
-        gamma = float(record["gamma"])
-        seed = int(record.get("seed", 0))
-        learner_spec = dict(record["learner"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"booster config has a malformed value: {exc}") from exc
-    config = BoosterConfig(
-        n_learners=n, gamma=gamma,
-        lipschitz=record.get("lipschitz"),
-        delta=record.get("delta"), kappa=record.get("kappa"))
-    learner_spec.setdefault("gamma", gamma)
-
-    def factory(i, recentered):
-        spec = dict(learner_spec)
-        spec["seed"] = seed * 100003 + i
-        return learner_from_config(spec, recentered, feature_dim)
-
-    return config, factory, seed

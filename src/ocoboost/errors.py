@@ -1,5 +1,4 @@
-"""Exception types shared across the package, and the check that names a
-config record's unknown and missing keys."""
+"""Exception types shared across the package."""
 
 
 class OcoBoostError(Exception):
@@ -15,7 +14,7 @@ class NonFiniteInput(OcoBoostError, ValueError):
 
 
 class ConfigError(OcoBoostError, ValueError):
-    """A configuration record is invalid or incomplete."""
+    """A configuration setting is invalid or incomplete."""
 
 
 class DataError(OcoBoostError, ValueError):
@@ -33,15 +32,3 @@ class StageError(OcoBoostError, RuntimeError):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
 
-
-def check_record(record: dict, required, optional, what: str) -> None:
-    """Raise ``ConfigError`` naming a record's unknown keys, or else its
-    missing required ones. Each required entry is a tuple of alternative
-    names, the first of which is reported."""
-    unknown = sorted(set(record) - set(optional).union(*required))
-    if unknown:
-        raise ConfigError(f"{what} has unknown keys {unknown}")
-    missing = [names[0] for names in required
-               if not any(name in record for name in names)]
-    if missing:
-        raise ConfigError(f"{what} is missing {missing}")

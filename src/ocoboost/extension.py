@@ -54,8 +54,11 @@ def default_delta(diameter: float, gamma: float, n_learners: int,
     """Smoothing radius for an N-learner boosting run: D / (G gamma sqrt(N)),
     which balances the smoothing and mixing error terms and needs the
     gradient bound G."""
-    if lipschitz is None or lipschitz <= 0:
-        raise ConfigError("the smoothing radius needs a positive gradient bound")
+    if n_learners < 1:
+        raise ConfigError(f"n_learners must be >= 1, got {n_learners}")
+    if lipschitz is None or not 0 < lipschitz < math.inf:
+        raise ConfigError("the smoothing radius needs a positive, finite "
+                          f"gradient bound, got {lipschitz}")
     return diameter / (lipschitz * gamma * np.sqrt(n_learners))
 
 

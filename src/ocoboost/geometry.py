@@ -287,29 +287,3 @@ class CustomSet(DecisionSet):
     def _project(self, x: np.ndarray) -> np.ndarray:
         return as_point(self._project_fn(x), self.dim, "projection output")
 
-
-def set_from_config(config: dict) -> DecisionSet:
-    """Build a decision set from a plain config record.
-
-    kind "ball": {dim, radius, center?}; "box": {lower, upper};
-    "interval": {lo, hi}; "simplex": {dim, total?};
-    "custom": {dim, project, diameter, centroid} with a callable projection.
-    """
-    if "kind" not in config:
-        raise ConfigError("set config needs a 'kind' field")
-    kind = config["kind"]
-    try:
-        if kind == "ball":
-            return Ball(config["dim"], config["radius"], config.get("center"))
-        if kind == "box":
-            return Box(config["lower"], config["upper"])
-        if kind == "interval":
-            return Interval(config["lo"], config["hi"])
-        if kind == "simplex":
-            return Simplex(config["dim"], config.get("total", 1.0))
-        if kind == "custom":
-            return CustomSet(config["dim"], config["project"],
-                             config["diameter"], config["centroid"])
-    except KeyError as exc:
-        raise ConfigError(f"set config for kind '{kind}' is missing {exc}") from exc
-    raise ConfigError(f"unknown set kind '{kind}'")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .booster import BoosterConfig, step_sizes
-from .errors import ConfigError, StageError, check_record
+from .errors import ConfigError, StageError
 from .extension import DEFAULT_BUDGET, DEFAULT_TOL, ExtendedLoss
 from .geometry import DecisionSet, as_point
 from .losses import LinearLoss, ShiftedLoss
@@ -243,27 +243,6 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
         components = [(coef, hyp) for coef, hyp in components if coef != 0.0]
 
     return BoostedHypothesis(components, set_c, offset)
-
-
-def fit_from_config(oracle: SampleOracle, weak_optimizer, set_: DecisionSet,
-                    config: dict) -> BoostedHypothesis:
-    """Drive a fit from a JSON-compatible record:
-    {N (or n_stages), gamma, delta?, kappa?, lipschitz?, stage_budget (or
-    m)?}. The weak optimizer and the oracle hold callables and their own
-    seeds, so they are passed programmatically."""
-    check_record(config, (("N", "n_stages"), ("gamma",)),
-                 ("delta", "kappa", "lipschitz", "stage_budget", "m"),
-                 "fit config")
-    try:
-        n = int(config.get("n_stages", config.get("N")))
-        gamma = float(config["gamma"])
-        budget = int(config.get("stage_budget", config.get("m", 1)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"fit config has a malformed value: {exc}") from exc
-    return fit_boosted_hypothesis(
-        oracle, weak_optimizer, set_, n_stages=n, gamma=gamma,
-        stage_budget=budget, delta=config.get("delta"),
-        kappa=config.get("kappa"), lipschitz=config.get("lipschitz"))
 
 
 def population_loss(hypothesis, oracle: SampleOracle, n_samples: int):

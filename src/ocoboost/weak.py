@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, check_record
+from .errors import ConfigError, ProtocolError
 from .geometry import DecisionSet, as_point
 from .losses import LinearLoss
 
@@ -356,57 +356,3 @@ def empirical_gamma_regret(learner: WeakLearner, transcript, hypotheses) -> floa
         learner.update(loss)
     return total - learner.gamma * float(comparator.min())
 
-
-# keys every learner kind accepts: callers send the same base spec to each
-_COMMON_LEARNER_KEYS = ("kind", "gamma", "seed", "step", "anchor")
-_LEARNER_KEYS = {
-    "uniform": (),
-    "stump": ("bins", "warmup"),
-    "ridge": ("l2", "power"),
-    "mlp": ("hidden", "power"),
-    "synthetic_oracle": ("hypotheses", "mode", "scale"),
-}
-
-
-def learner_from_config(config: dict, set_: DecisionSet, feature_dim: int) -> WeakLearner:
-    """Build a weak learner from a plain config record.
-
-    kind in {stump, ridge, mlp, uniform, synthetic_oracle}; synthetic_oracle
-    additionally needs a 'hypotheses' entry holding callables, so it is only
-    constructible programmatically. A key the kind does not read raises
-    ``ConfigError`` naming it; gamma, seed, step and anchor are accepted by
-    every kind.
-    """
-    if "kind" not in config:
-        raise ConfigError("learner config needs a 'kind' field")
-    kind = config["kind"]
-    if kind not in _LEARNER_KEYS:
-        raise ConfigError(f"unknown learner kind '{kind}'")
-    required = (("hypotheses",),) if kind == "synthetic_oracle" else ()
-    check_record(config, required, _COMMON_LEARNER_KEYS + _LEARNER_KEYS[kind],
-                 f"{kind} learner config")
-    gamma = float(config.get("gamma", 1.0))
-    if kind == "uniform":
-        return UniformBaseline(set_, gamma)
-    anchor = config.get("anchor", "self")
-    if kind == "stump":
-        return DecisionStump(feature_dim, set_, gamma,
-                             bins=int(config.get("bins", 16)),
-                             warmup=int(config.get("warmup", 50)),
-                             anchor=anchor)
-    if kind == "ridge":
-        return OnlineRidge(feature_dim, set_, gamma,
-                           step=float(config.get("step", 0.01)),
-                           l2=float(config.get("l2", 1e-4)),
-                           power=float(config.get("power", 0.25)),
-                           anchor=anchor)
-    if kind == "mlp":
-        return TinyMlp(feature_dim, set_, gamma,
-                       step=float(config.get("step", 0.01)),
-                       hidden=int(config.get("hidden", 1)),
-                       seed=int(config.get("seed", 0)),
-                       power=float(config.get("power", 0.25)),
-                       anchor=anchor)
-    return ScaledLeaderOracle(config["hypotheses"], gamma, set_,
-                              mode=config.get("mode", "ftl"),
-                              scale=float(config.get("scale", 1.0)))

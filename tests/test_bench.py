@@ -273,6 +273,16 @@ class TestCli:
         ["synth", "--scenario", "bandit", "--explore-rate", "high"],
         ["synth", "--scenario", "bandit", "--explore-rate", "0"],
         ["run", "--dataset", "synthetic", "--n", ""],
+        ["synth", "--scenario", "oco", "--horizon", "-5", "--n", "4",
+         "--seeds", "1"],
+        ["synth", "--scenario", "bandit", "--horizon", "-3", "--seeds", "1"],
+        ["synth", "--scenario", "oco", "--horizon", "0", "--n", "4",
+         "--seeds", "1"],
+        ["synth", "--scenario", "oco", "--n", ",", "--horizon", "10",
+         "--seeds", "1"],
+        ["synth", "--scenario", "oco", "--n", "2,-1", "--horizon", "10",
+         "--seeds", "1"],
+        ["synth", "--scenario", "sco", "--n", "0"],
     ])
     def test_bad_values_exit_with_config_error(self, argv, capsys):
         code = main(argv)

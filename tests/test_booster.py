@@ -12,7 +12,8 @@ from ocoboost.extension import ExtendedLoss
 from ocoboost.geometry import Ball, Box, Interval, Simplex
 from ocoboost.losses import CallableLoss, LinearLoss, QuadraticLoss
 from ocoboost.testkit import finite_diff_grad, hull_optimum
-from ocoboost.weak import ScaledLeaderOracle, UniformBaseline, WeakLearner
+from ocoboost.weak import (DecisionStump, ScaledLeaderOracle, UniformBaseline,
+                           WeakLearner)
 
 
 class FixedLearner(WeakLearner):
@@ -223,9 +224,9 @@ class TestRunningTotals:
 class TestTranscriptAndConfig:
     def test_from_config(self, rng):
         iv = Interval(-1.0, 1.0)
-        cfg = {"N": 3, "gamma": 0.25, "lipschitz": 8.0,
-               "learner": {"kind": "stump", "warmup": 5}, "seed": 7}
-        booster = OnlineBooster.from_config(iv, cfg, feature_dim=4)
+        cfg = BoosterConfig(n_learners=3, gamma=0.25, lipschitz=8.0)
+        booster = OnlineBooster(
+            iv, lambda i, s: DecisionStump(4, s, 0.25, warmup=5), cfg)
         assert booster.n_learners == 3
         assert booster.gamma == 0.25
         for t in range(8):
@@ -250,21 +251,22 @@ class TestTranscriptAndConfig:
         with pytest.raises(ConfigError, match="prox_tol"):
             BoosterConfig(n_learners=1, gamma=0.5, lipschitz=1.0,
                           prox_tol=0.0)
-
-    def test_from_config_names_bad_keys(self):
-        iv = Interval(-1.0, 1.0)
-        record = {"N": 2, "gamma": 0.5, "lipschitz": 4.0,
-                  "learner": {"kind": "uniform"}}
-        cases = [
-            ({k: v for k, v in record.items() if k != "N"}, r"missing \['N'\]"),
-            (dict(record, eta_rule="two_over_i"), r"unknown keys \['eta_rule'\]"),
-            (dict(record, x0_rule="origin"), "x0_rule"),
-            (dict(record, delta_rule="stated"), r"unknown keys \['delta_rule'\]"),
-            (dict(record, N="two"), "malformed"),
-        ]
-        for bad, match in cases:
-            with pytest.raises(ConfigError, match=match):
-                OnlineBooster.from_config(iv, bad, feature_dim=1)
+        # non-finite settings fail when the config is built, not at the
+        # first update
+        nan, inf = float("nan"), float("inf")
+        for name, value in (("lipschitz", nan), ("lipschitz", inf),
+                            ("delta", nan), ("delta", inf),
+                            ("kappa", nan), ("kappa", inf)):
+            settings = {"lipschitz": 1.0, name: value}
+            with pytest.raises(ConfigError, match=f"{name} must be"):
+                BoosterConfig(n_learners=2, gamma=0.5, **settings)
+        # a zero-diameter set gives a zero balanced radius
+        config = BoosterConfig(n_learners=2, gamma=0.5, lipschitz=1.0)
+        for diameter in (0.0, nan):
+            with pytest.raises(ConfigError, match="smoothing radius"):
+                config.smoothing(diameter)
+        with pytest.raises(ConfigError, match="smoothing radius"):
+            OnlineBooster(Simplex(1), lambda i, s: UniformBaseline(s), config)
 
 
 def test_played_actions_always_feasible_under_adversarial_losses(rng):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ocoboost.errors import ConfigError, DimensionMismatch, NonFiniteInput
-from ocoboost.geometry import (Ball, Box, CustomSet, Interval, Simplex,
-                               as_point, set_from_config)
+from ocoboost.errors import DimensionMismatch, NonFiniteInput
+from ocoboost.geometry import Ball, CustomSet, Interval, Simplex, as_point
 from ocoboost.testkit import _simplex_grid
 
 from conftest import sample_near, set_families
@@ -132,31 +131,6 @@ class TestHelpers:
         custom = CustomSet(2, lambda x: np.clip(x, -1, 1), diameter=2 * np.sqrt(2),
                            centroid=[0.0, 0.0])
         np.testing.assert_allclose(custom.project([3.0, 0.5]), [1.0, 0.5])
-
-
-class TestConfig:
-    def test_round_trips(self):
-        ball = set_from_config({"kind": "ball", "dim": 2, "radius": 1.5,
-                                "center": [1.0, 0.0]})
-        assert isinstance(ball, Ball)
-        box = set_from_config({"kind": "box", "lower": [0, 0], "upper": [1, 2]})
-        assert isinstance(box, Box)
-        iv = set_from_config({"kind": "interval", "lo": -1, "hi": 1})
-        assert isinstance(iv, Interval)
-        simplex = set_from_config({"kind": "simplex", "dim": 4})
-        assert isinstance(simplex, Simplex)
-        custom = set_from_config({"kind": "custom", "dim": 1,
-                                  "project": lambda x: np.clip(x, 0, 1),
-                                  "diameter": 1.0, "centroid": [0.5]})
-        assert isinstance(custom, CustomSet)
-
-    def test_errors(self):
-        with pytest.raises(ConfigError):
-            set_from_config({"kind": "donut"})
-        with pytest.raises(ConfigError):
-            set_from_config({"kind": "ball", "dim": 2})
-        with pytest.raises(ConfigError):
-            set_from_config({})
 
 
 def test_as_point_scalar_promotion():

@@ -319,33 +319,11 @@ def test_hypothesis_export_is_json_serializable():
     assert sum(coefs) == pytest.approx(1.0 / 0.5)
 
 
-def test_fit_from_config_round_trip():
-    from ocoboost.statistical import fit_from_config
-    iv = Interval(-1.0, 1.0)
-    oracle = _two_point_oracle()
-    wopt = ErmWeakOptimizer(_constant_hyps([-0.5, 0.1, 0.9]), gamma=0.5,
-                            exact=True)
-    config = {"N": 4, "gamma": 0.5, "stage_budget": 1, "lipschitz": 8.0}
-    fitted = fit_from_config(oracle, wopt, iv, config)
-    direct = fit_boosted_hypothesis(oracle, wopt, iv, n_stages=4, gamma=0.5,
-                                    stage_budget=1, lipschitz=8.0)
-    for c in (np.zeros(1), np.ones(1)):
-        np.testing.assert_allclose(fitted(c), direct(c))
-    with pytest.raises(ConfigError, match=r"missing \['N'\]"):
-        fit_from_config(oracle, wopt, iv, {"gamma": 0.5})
-
-
 def test_fit_rejects_bad_config():
-    from ocoboost.statistical import fit_from_config
     iv = Interval(-1.0, 1.0)
     oracle = _two_point_oracle()
     wopt = ErmWeakOptimizer(_constant_hyps([-0.5, 0.1, 0.9]), gamma=0.5,
                             exact=True)
-    for key, value in (("eta_rule", "two_over_i"), ("seed", 7),
-                       ("delta_rule", "stated")):
-        with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
-            fit_from_config(oracle, wopt, iv, {"N": 2, "gamma": 0.5,
-                                               "lipschitz": 8.0, key: value})
     for prox_settings, match in (({"prox_budget": 0}, "prox_budget"),
                                  ({"prox_tol": 0.0}, "prox_tol")):
         with pytest.raises(ConfigError, match=match):

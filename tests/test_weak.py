@@ -5,8 +5,7 @@ from ocoboost.errors import ConfigError, ProtocolError
 from ocoboost.geometry import Ball, Interval, Simplex
 from ocoboost.losses import LinearLoss
 from ocoboost.weak import (DecisionStump, OnlineRidge, ScaledLeaderOracle,
-                           TinyMlp, UniformBaseline, empirical_gamma_regret,
-                           learner_from_config)
+                           TinyMlp, UniformBaseline, empirical_gamma_regret)
 
 
 def _ball_hypotheses(rng, n=4, dim=2):
@@ -232,39 +231,3 @@ def test_empirical_gamma_regret_empty_transcript(rng):
     with pytest.raises(ConfigError):
         empirical_gamma_regret(learner, [], [lambda c: np.zeros(2)])
 
-
-class TestLearnerFromConfig:
-    def test_kinds(self, rng):
-        iv = Interval(-1.0, 1.0)
-        assert isinstance(learner_from_config({"kind": "uniform"}, iv, 3),
-                          UniformBaseline)
-        assert isinstance(learner_from_config({"kind": "stump"}, iv, 3),
-                          DecisionStump)
-        assert isinstance(learner_from_config({"kind": "ridge"}, iv, 3),
-                          OnlineRidge)
-        assert isinstance(learner_from_config({"kind": "mlp", "seed": 5}, iv, 3),
-                          TinyMlp)
-        oracle = learner_from_config(
-            {"kind": "synthetic_oracle", "gamma": 0.5,
-             "hypotheses": [lambda c: np.zeros(1)]}, iv, 3)
-        assert isinstance(oracle, ScaledLeaderOracle)
-
-    def test_errors(self):
-        iv = Interval(-1.0, 1.0)
-        with pytest.raises(ConfigError):
-            learner_from_config({"kind": "forest"}, iv, 3)
-        with pytest.raises(ConfigError):
-            learner_from_config({"kind": "synthetic_oracle"}, iv, 3)
-        with pytest.raises(ConfigError):
-            learner_from_config({}, iv, 3)
-        # keys the kind does not read are named, not ignored
-        for spec, key in (({"kind": "stump", "leaf_mode": "ftl"}, "leaf_mode"),
-                          ({"kind": "stump", "bin": 8}, "bin"),
-                          ({"kind": "ridge", "hidden": 2}, "hidden"),
-                          ({"kind": "uniform", "warmup": 5}, "warmup")):
-            with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
-                learner_from_config(spec, iv, 3)
-        # the keys callers send to every kind stay accepted
-        common = {"gamma": 0.5, "seed": 3, "step": 0.02, "anchor": "zero"}
-        for kind in ("uniform", "stump", "ridge", "mlp"):
-            learner_from_config({"kind": kind, **common}, iv, 3)
