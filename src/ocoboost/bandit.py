@@ -76,7 +76,11 @@ class BanditBooster:
             explore_rate = default_explore_rate(
                 self.dim, horizon, inner_config.n_learners,
                 inner_config.gamma, weak_regret_bound)
-        explore_rate = float(explore_rate)
+        try:
+            explore_rate = float(explore_rate)
+        except (TypeError, ValueError):
+            raise ConfigError("explore_rate must be 'auto' or a number, got "
+                              f"{explore_rate!r}") from None
         if not 0.0 <= explore_rate <= 1.0:
             raise ConfigError("explore_rate must lie in [0, 1]")
         self.explore_rate = explore_rate

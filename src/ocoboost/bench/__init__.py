@@ -2,9 +2,9 @@
 synthetic acceptance scenarios, and the CLI driver."""
 
 from .data import Dataset, ingest, load_dataset, synthetic_regression
-from .experiment import ExperimentConfig, emit_table, parse_table_csv, run_experiment
+from .experiment import ExperimentConfig, emit_table, run_experiment
 
 __all__ = [
     "Dataset", "ingest", "load_dataset", "synthetic_regression",
-    "ExperimentConfig", "emit_table", "parse_table_csv", "run_experiment",
+    "ExperimentConfig", "emit_table", "run_experiment",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import ConfigError, DataError, OcoBoostError
 from . import synth
 from .data import fetch_california
-from .experiment import ExperimentConfig, emit_table, run_experiment
+from .experiment import ExperimentConfig, emit_table, run_experiment, write_table
 
 
 def _int_list(text: str):
@@ -81,23 +81,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _rows_to_text(headers, rows, fmt: str) -> str:
-    if fmt == "json":
-        payload = [dict(zip(headers, row)) for row in rows]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        lines = [",".join(headers)]
-        lines += [",".join(str(v) for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
-    widths = [max(len(str(h)), *(len(str(r[i])) for r in rows))
-              for i, h in enumerate(headers)]
-    head = " | ".join(str(h).ljust(w) for h, w in zip(headers, widths))
-    rule = "-|-".join("-" * w for w in widths)
-    body = [" | ".join(str(v).ljust(w) for v, w in zip(row, widths))
-            for row in rows]
-    return "\n".join([head, rule] + body) + "\n"
-
-
 def _cmd_synth(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
@@ -108,14 +91,13 @@ def _cmd_synth(args) -> int:
     if args.scenario == "oco":
         n_values = args.n or (4, 16, 64)
         horizon = args.horizon or 5000
-        rows = []
+        headers, rows = ["N", "mean_regret", "bound"], []
         for n in n_values:
             outs = [synth.oco_scenario(n, horizon=horizon, gamma=args.gamma,
                                        seed=args.seed + s)
                     for s in range(args.seeds)]
             regrets = [o["regret"] for o in outs]
             rows.append([n, f"{np.mean(regrets):.3f}", f"{outs[0]['bound']:.3f}"])
-        text = _rows_to_text(["N", "mean_regret", "bound"], rows, args.out)
     elif args.scenario == "bandit":
         horizon = args.horizon or 4000
         rate = args.explore_rate
@@ -134,16 +116,19 @@ def _cmd_synth(args) -> int:
                                         seed=args.seed + s)
             regrets.append(out["regrets"][horizon])
             rates.append(out["explore_rate"])
+        headers = ["T", "N", "explore_rate", "mean_regret"]
         rows = [[horizon, n, f"{rates[0]:.4f}", f"{np.mean(regrets):.3f}"]]
-        text = _rows_to_text(["T", "N", "explore_rate", "mean_regret"],
-                             rows, args.out)
     else:
         n_values = args.n or (16, 64, 256)
-        rows = []
+        headers, rows = ["N", "gap", "bound"], []
         for n in n_values:
             out = synth.sco_scenario(n, gamma=args.gamma, seed=args.seed)
             rows.append([n, f"{out['gap']:.6f}", f"{out['bound']:.3f}"])
-        text = _rows_to_text(["N", "gap", "bound"], rows, args.out)
+    if args.out == "json":
+        text = json.dumps([dict(zip(headers, row)) for row in rows],
+                          indent=2, sort_keys=True) + "\n"
+    else:
+        text = write_table(headers, rows, args.out)
     sys.stdout.write(text)
     return 0
 

@@ -11,8 +11,8 @@ All rounds count toward cumulative loss, including any warm-up phase.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,15 +43,14 @@ class ExperimentConfig:
     seed: int = 0
     target_col: str | int | None = None
     data_dir: str | None = None
-    check_streams: bool = False
 
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must be in (0, 1]")
-        if self.step <= 0:
-            raise ConfigError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ConfigError(f"step must be positive and finite, got {self.step}")
         bad = [k for k in self.learners if k not in LEARNER_LABELS]
         if bad:
             raise ConfigError(f"unknown learner kinds: {bad}")
@@ -84,43 +83,24 @@ def _make_learner(kind, set_c, feature_dim, cfg: ExperimentConfig,
                    anchor=anchor)
 
 
-class _Runner:
-    """Shared bookkeeping: cumulative loss and an optional stream hash."""
-
-    def __init__(self, check_streams: bool):
+class _StandaloneRunner:
+    def __init__(self, kind, interval, feature_dim, cfg, seed):
         self.cum_loss = 0.0
-        self._hasher = hashlib.sha256() if check_streams else None
-
-    def _observe(self, context, target):
-        if self._hasher is not None:
-            self._hasher.update(np.ascontiguousarray(context).tobytes())
-            self._hasher.update(np.float64(target).tobytes())
-
-    @property
-    def stream_hash(self):
-        return self._hasher.hexdigest() if self._hasher is not None else None
-
-
-class _StandaloneRunner(_Runner):
-    def __init__(self, kind, interval, feature_dim, cfg, seed, check_streams):
-        super().__init__(check_streams)
         self.set_c, offset = interval.recenter()
         self.offset = float(offset[0])
         self.learner = _make_learner(kind, self.set_c, feature_dim, cfg,
                                      gamma=1.0, seed=seed)
 
     def round(self, context, target):
-        self._observe(context, target)
         pred = float(self.learner.predict(context)[0]) + self.offset
         err = pred - target
         self.cum_loss += err * err
         self.learner.update(LinearLoss([2.0 * err]))
 
 
-class _BoostedRunner(_Runner):
-    def __init__(self, kind, interval, feature_dim, n_learners, cfg, seed,
-                 check_streams):
-        super().__init__(check_streams)
+class _BoostedRunner:
+    def __init__(self, kind, interval, feature_dim, n_learners, cfg, seed):
+        self.cum_loss = 0.0
         g_bound = square_loss_gradient_bound(interval, cfg.gamma, n_learners)
         bcfg = BoosterConfig(n_learners=n_learners, gamma=cfg.gamma,
                              lipschitz=g_bound)
@@ -134,7 +114,6 @@ class _BoostedRunner(_Runner):
         self.booster = OnlineBooster(interval, factory, bcfg)
 
     def round(self, context, target):
-        self._observe(context, target)
         pred, traj = self.booster.predict(context)
         err = float(pred[0]) - target
         self.cum_loss += err * err
@@ -145,7 +124,6 @@ class _BoostedRunner(_Runner):
 class ExperimentResult:
     config: dict
     rows: list
-    stream_hashes: list
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -162,7 +140,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # cum[kind][label][run]; labels are "wl" and the ensemble sizes
     cum = {kind: {label: np.zeros(cfg.runs) for label in ("wl", *n_values)}
            for kind in cfg.learners}
-    stream_hashes = []
 
     for r in range(cfg.runs):
         run_seed = cfg.seed ^ r
@@ -170,18 +147,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         perm = rng.permutation(ds.n_rows)
         stream_x = ds.features[perm]
         stream_y = ds.targets[perm]
+        # every predictor sees the same rows: a learner that writes into
+        # its context raises at the write
+        stream_x.flags.writeable = False
 
         runners = {}
         for kind in cfg.learners:
             runners[(kind, "wl")] = _StandaloneRunner(
                 kind, interval, ds.n_features, cfg,
-                seed=run_seed * 100003 + 999983,
-                check_streams=cfg.check_streams)
+                seed=run_seed * 100003 + 999983)
             for n in n_values:
                 runners[(kind, n)] = _BoostedRunner(
                     kind, interval, ds.n_features, n, cfg,
-                    seed=run_seed * 1009 + n,
-                    check_streams=cfg.check_streams)
+                    seed=run_seed * 1009 + n)
 
         for t in range(ds.n_rows):
             c, y = stream_x[t], float(stream_y[t])
@@ -190,9 +168,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
         for (kind, label), runner in runners.items():
             cum[kind][label][r] = runner.cum_loss
-        if cfg.check_streams:
-            stream_hashes.append({f"{kind}/{label}": runner.stream_hash
-                                  for (kind, label), runner in runners.items()})
 
     rows = []
     for kind in cfg.learners:
@@ -217,8 +192,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "n_values": list(n_values), "gamma": cfg.gamma, "step": cfg.step,
         "runs": cfg.runs, "seed": cfg.seed,
     }
-    return ExperimentResult(config=config_echo, rows=rows,
-                            stream_hashes=stream_hashes)
+    return ExperimentResult(config=config_echo, rows=rows)
 
 
 # -- table emission ----------------------------------------------------------
@@ -230,43 +204,40 @@ def _n_labels(result: ExperimentResult):
 def emit_table(result: ExperimentResult, fmt: str = "markdown") -> str:
     if not result.rows:
         raise ConfigError("no results to emit")
-    if fmt == "markdown":
-        return _emit_markdown(result)
-    if fmt == "csv":
-        return _emit_csv(result)
     if fmt == "json":
         return _emit_json(result)
-    raise ConfigError(f"unknown output format '{fmt}'")
-
-
-def _emit_markdown(result: ExperimentResult) -> str:
+    if fmt not in ("markdown", "csv"):
+        raise ConfigError(f"unknown output format '{fmt}'")
     labels = _n_labels(result)
-    header = "| Learner | WL | " + " | ".join(labels) + " | Improvement |"
-    rule = "|" + "---|" * (len(labels) + 3)
-    lines = [header, rule]
-    for row in result.rows:
-        best = min(row["normalized"].values())
-        cells = [LEARNER_LABELS.get(row["learner"], row["learner"]), "1.000"]
-        for lab in labels:
-            v = row["normalized"][lab]
-            text = f"{v:.3f}"
-            if v == best:
-                text = f"**{text}**"
-            cells.append(text)
-        cells.append(f"{row['improvement']:.1f}%")
-        lines.append("| " + " | ".join(cells) + " |")
+    cells = _markdown_cells if fmt == "markdown" else _csv_cells
+    return write_table(["Learner", "WL", *labels, "Improvement"],
+                       [cells(row, labels) for row in result.rows], fmt)
+
+
+def write_table(headers, rows, fmt: str) -> str:
+    """Rows of cells under ``headers`` as a markdown (``| a | b |``) or CSV
+    table."""
+    if fmt == "csv":
+        return "".join(",".join(map(str, row)) + "\n" for row in (headers, *rows))
+    lines = ["| " + " | ".join(map(str, row)) + " |" for row in (headers, *rows)]
+    lines.insert(1, "|" + "---|" * len(headers))
     return "\n".join(lines) + "\n"
 
 
-def _emit_csv(result: ExperimentResult) -> str:
-    labels = _n_labels(result)
-    lines = ["Learner,WL," + ",".join(labels) + ",Improvement"]
-    for row in result.rows:
-        cells = [row["learner"], "1.000"]
-        cells += [f"{row['normalized'][lab]:.3f}" for lab in labels]
-        cells.append(f"{row['improvement']:.1f}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _markdown_cells(row, labels):
+    """Display name, normalized losses with the best in bold, improvement in %."""
+    best = min(row["normalized"].values())
+    cells = [LEARNER_LABELS.get(row["learner"], row["learner"]), "1.000"]
+    for lab in labels:
+        v = row["normalized"][lab]
+        cells.append(f"**{v:.3f}**" if v == best else f"{v:.3f}")
+    return cells + [f"{row['improvement']:.1f}%"]
+
+
+def _csv_cells(row, labels):
+    return [row["learner"], "1.000",
+            *(f"{row['normalized'][lab]:.3f}" for lab in labels),
+            f"{row['improvement']:.1f}"]
 
 
 def _emit_json(result: ExperimentResult) -> str:
@@ -280,21 +251,3 @@ def _emit_json(result: ExperimentResult) -> str:
         } for row in result.rows],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def parse_table_csv(text: str):
-    """Read an emitted CSV table back into row dicts (the inverse of
-    emit_table(..., "csv") at printed precision)."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    labels = header[2:-1]
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows.append({
-            "learner": cells[0],
-            "wl": float(cells[1]),
-            "normalized": {lab: float(v) for lab, v in zip(labels, cells[2:-1])},
-            "improvement": float(cells[-1]),
-        })
-    return rows

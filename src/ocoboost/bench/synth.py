@@ -23,10 +23,9 @@ from ..booster import BoosterConfig, OnlineBooster
 from ..errors import ConfigError
 from ..extension import default_delta
 from ..geometry import Ball, Interval, Simplex
-from ..losses import LinearLoss, QuadraticLoss, ScaledLoss
+from ..losses import LinearLoss, QuadraticLoss
 from ..statistical import (ErmWeakOptimizer, FiniteSupportOracle,
                            exact_population_loss, fit_boosted_hypothesis)
-from ..testkit import hull_optimum
 from ..weak import ScaledLeaderOracle
 
 OCO_DIM = 2
@@ -208,13 +207,13 @@ def sco_gradient_bound(gamma: float, n_stages: int) -> float:
 
 
 def sco_hull_optimum() -> float:
-    """Exact population hull optimum by weighted enumeration plus grid."""
-    oracle = sco_oracle()
-    support = oracle.support()
-    losses = [ScaledLoss(loss, p) for loss, _, p in support]
-    contexts = [c for _, c, _ in support]
-    result = hull_optimum(sco_hypotheses(), losses, contexts, grid_spacing=0.01)
-    return result.value
+    """Exact population hull optimum. The hull of the constant hypotheses is
+    the interval between the smallest and largest constant, and the
+    population square loss is least at the mean target clipped to it."""
+    probs, targets = np.array(SCO_PROBS), np.array(SCO_TARGETS)
+    best = np.clip(probs @ targets, min(SCO_HYPOTHESIS_POINTS),
+                   max(SCO_HYPOTHESIS_POINTS))
+    return float(probs @ (best - targets) ** 2)
 
 
 def sco_scenario(n_stages: int, gamma: float = 0.5, seed: int = 0) -> dict:

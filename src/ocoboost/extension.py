@@ -9,7 +9,8 @@ the loss machinery.
 
 The envelope minimizer (prox point) is computed in closed form for linear
 and isotropic quadratic losses (also shifted or scaled) over any set: both
-reduce to one analytic shrink toward the projection. Any other loss runs a
+reduce to one analytic shrink toward the projection. ``losses.closed_form``
+reads which form a loss has, once per extension. Any other loss runs a
 proximal-gradient splitting whose nonsmooth step (the distance penalty) is
 that same shrink.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import DecisionSet, as_point
-from .losses import ConvexLoss, LinearLoss, QuadraticLoss, ScaledLoss, ShiftedLoss
+from .losses import ConvexLoss, closed_form
 
 DEFAULT_BUDGET = 200
 DEFAULT_TOL = 1e-8
@@ -62,38 +63,6 @@ def default_delta(diameter: float, gamma: float, n_learners: int,
     return diameter / (lipschitz * gamma * np.sqrt(n_learners))
 
 
-def _as_linear(loss: ConvexLoss):
-    """Direction of an (optionally shifted/scaled) linear loss, else None."""
-    if isinstance(loss, LinearLoss):
-        return loss.direction
-    if isinstance(loss, ShiftedLoss):
-        inner = _as_linear(loss.base)
-        return inner
-    if isinstance(loss, ScaledLoss):
-        inner = _as_linear(loss.base)
-        return None if inner is None else loss.factor * inner
-    return None
-
-
-def _as_quadratic(loss: ConvexLoss):
-    """(weight, target) of an (optionally shifted/scaled) quadratic, else None."""
-    if isinstance(loss, QuadraticLoss):
-        return loss.weight, loss.target
-    if isinstance(loss, ShiftedLoss):
-        inner = _as_quadratic(loss.base)
-        if inner is None:
-            return None
-        w, t = inner
-        return w, t - loss.offset
-    if isinstance(loss, ScaledLoss):
-        inner = _as_quadratic(loss.base)
-        if inner is None:
-            return None
-        w, t = inner
-        return loss.factor * w, t
-    return None
-
-
 def _shrink_toward_projection(set_: DecisionSet, z: np.ndarray, bound: float) -> np.ndarray:
     """Prox of bound * Dist(., K) at z: move toward the projection by
     min(bound, distance)."""
@@ -113,30 +82,8 @@ def prox(loss: ConvexLoss, set_: DecisionSet, kappa: float, delta: float, x,
     the best iterate is returned with ``converged=False``; the caller
     decides what to do with the flagged residual.
     """
-    x = as_point(x, set_.dim)
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
-    if kappa < 0:
-        raise ConfigError("kappa must be nonnegative")
-    check_prox_settings(budget, tol)
-    return _prox_impl(loss, set_, kappa, delta, x, budget, tol)
-
-
-def _prox_impl(loss, set_, kappa, delta, x, budget, tol):
-    direction = _as_linear(loss)
-    if direction is not None:
-        y = _shrink_toward_projection(set_, x - delta * direction, delta * kappa)
-        return y, _EXACT_INFO
-
-    quad = _as_quadratic(loss)
-    if quad is not None:
-        # w*||y-t||^2 + ||y-x||^2/(2 delta) = (a/2)*||y-z||^2 + const
-        w, t = quad
-        a = 2.0 * w + 1.0 / delta
-        z = (2.0 * w * t + x / delta) / a
-        return _shrink_toward_projection(set_, z, kappa / a), _EXACT_INFO
-
-    return _prox_iterative(loss, set_, kappa, delta, x, budget, tol)
+    ext = ExtendedLoss(loss, set_, delta, kappa, budget, tol)
+    return ext._prox(as_point(x, set_.dim))
 
 
 def _prox_iterative(loss, set_, kappa, delta, x, budget, tol):
@@ -181,10 +128,10 @@ class ExtendedLoss:
 
     def __init__(self, base: ConvexLoss, set_: DecisionSet, delta: float,
                  kappa: float, budget: int = DEFAULT_BUDGET, tol: float = DEFAULT_TOL):
-        if delta <= 0:
-            raise ConfigError("delta must be positive")
-        if kappa < 0:
-            raise ConfigError("kappa must be nonnegative")
+        if not 0.0 < delta < math.inf:
+            raise ConfigError(f"delta must be positive and finite, got {delta}")
+        if not 0.0 <= kappa < math.inf:
+            raise ConfigError(f"kappa must be nonnegative and finite, got {kappa}")
         check_prox_settings(budget, tol)
         self.base = base
         self.set_ = set_
@@ -192,6 +139,24 @@ class ExtendedLoss:
         self.kappa = float(kappa)
         self.budget = int(budget)
         self.tol = float(tol)
+        self._weight, self._target, self._direction = (closed_form(base)
+                                                       or (None, None, None))
+
+    def _prox(self, x: np.ndarray):
+        """(prox point of x, ProxInfo): one shrink toward the projection for
+        a linear or quadratic base, the iterative solver otherwise."""
+        if self._direction is not None:
+            y = _shrink_toward_projection(self.set_, x - self.delta * self._direction,
+                                          self.delta * self.kappa)
+            return y, _EXACT_INFO
+        if self._target is not None:
+            # w*||y-t||^2 + ||y-x||^2/(2 delta) = (a/2)*||y-z||^2 + const
+            w, delta = self._weight, self.delta
+            a = 2.0 * w + 1.0 / delta
+            z = (2.0 * w * self._target + x / delta) / a
+            return _shrink_toward_projection(self.set_, z, self.kappa / a), _EXACT_INFO
+        return _prox_iterative(self.base, self.set_, self.kappa, self.delta, x,
+                               self.budget, self.tol)
 
     def composite_value(self, y) -> float:
         return self.base.value(y) + self.kappa * self.set_.distance(y)
@@ -199,8 +164,7 @@ class ExtendedLoss:
     def evaluate(self, x):
         """Return (value, gradient, ProxInfo) at x from a single prox solve."""
         x = as_point(x, self.set_.dim)
-        y, info = _prox_impl(self.base, self.set_, self.kappa, self.delta, x,
-                             self.budget, self.tol)
+        y, info = self._prox(x)
         diff = x - y
         value = self.composite_value(y) + float(diff @ diff) / (2.0 * self.delta)
         grad = diff / self.delta
@@ -215,6 +179,5 @@ class ExtendedLoss:
     def grad_with_info(self, x):
         """Gradient only: skips the envelope-value arithmetic of evaluate."""
         x = np.asarray(x, dtype=np.float64)
-        y, info = _prox_impl(self.base, self.set_, self.kappa, self.delta, x,
-                             self.budget, self.tol)
+        y, info = self._prox(x)
         return (x - y) / self.delta, info

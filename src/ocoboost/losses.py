@@ -140,6 +140,30 @@ class ScaledLoss(ConvexLoss):
         return self.factor * self.base.grad(x)
 
 
+def closed_form(loss: ConvexLoss):
+    """``(weight, target, direction)`` of a linear or quadratic loss, also
+    when shifted or scaled: ``(0.0, None, direction)`` for direction . x and
+    ``(weight, target, None)`` for weight * ||x - target||^2. None for any
+    other loss."""
+    if isinstance(loss, LinearLoss):
+        return 0.0, None, loss.direction
+    if isinstance(loss, QuadraticLoss):
+        return loss.weight, loss.target, None
+    if not isinstance(loss, (ShiftedLoss, ScaledLoss)):
+        return None
+    inner = closed_form(loss.base)
+    if inner is None:
+        return None
+    weight, target, direction = inner
+    if isinstance(loss, ScaledLoss):
+        return (loss.factor * weight, target,
+                None if direction is None else loss.factor * direction)
+    # base(x + offset) moves a quadratic's target by -offset
+    if (direction if target is None else target).shape != loss.offset.shape:
+        raise DimensionMismatch("loss and offset dimensions differ")
+    return weight, None if target is None else target - loss.offset, direction
+
+
 def lipschitz_bound(loss: ConvexLoss, region: DecisionSet, inflate: float = 0.0) -> float:
     """Certified upper bound on sup of ||grad loss|| over the region.
 
@@ -148,20 +172,14 @@ def lipschitz_bound(loss: ConvexLoss, region: DecisionSet, inflate: float = 0.0)
     """
     if inflate < 0:
         raise ConfigError("inflate must be nonnegative")
-    if isinstance(loss, LinearLoss):
-        if loss.dim != region.dim:
+    form = closed_form(loss)
+    if form is not None:
+        weight, target, direction = form
+        if (direction if target is None else target).shape[0] != region.dim:
             raise DimensionMismatch("loss and region dimensions differ")
-        return float(np.linalg.norm(loss.direction))
-    if isinstance(loss, QuadraticLoss):
-        if loss.dim != region.dim:
-            raise DimensionMismatch("loss and region dimensions differ")
-        reach = region.farthest_distance(loss.target) + inflate
-        return 2.0 * loss.weight * reach
-    if isinstance(loss, (ShiftedLoss, ScaledLoss)):
-        factor = loss.factor if isinstance(loss, ScaledLoss) else 1.0
-        shifted_region = (region.shift(loss.offset)
-                          if isinstance(loss, ShiftedLoss) else region)
-        return factor * lipschitz_bound(loss.base, shifted_region, inflate)
+        if target is None:
+            return float(np.linalg.norm(direction))
+        return 2.0 * weight * (region.farthest_distance(target) + inflate)
     if loss.lipschitz_hint is not None:
         return float(loss.lipschitz_hint)
     raise ConfigError(

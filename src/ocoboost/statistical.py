@@ -43,7 +43,8 @@ class FiniteSupportOracle(SampleOracle):
         if probs is None:
             probs = np.full(len(atoms), 1.0 / len(atoms))
         self.probs = np.asarray(probs, dtype=np.float64)
-        if self.probs.shape[0] != len(atoms) or np.any(self.probs < 0) \
+        if self.probs.shape != (len(atoms),) or np.any(self.probs < 0) \
+                or not np.all(np.isfinite(self.probs)) \
                 or abs(self.probs.sum() - 1.0) > 1e-12:
             raise ConfigError("probs must be a distribution over the atoms")
         self.seed = seed

@@ -57,6 +57,9 @@ class TestContainment:
         with pytest.raises(ConfigError):
             BanditBooster(Ball(3, 0.5), lambda i, s: UniformBaseline(s), cfg,
                           explore_rate=0.5)
+        with pytest.raises(ConfigError, match="explore_rate"):
+            BanditBooster(Simplex(3), lambda i, s: UniformBaseline(s), cfg,
+                          explore_rate="high")
 
 
 class TestStepFeedback:

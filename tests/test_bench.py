@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -13,10 +15,11 @@ from ocoboost.bench.cli import main
 from ocoboost.bench.data import (ingest, load_dataset, synthetic_regression,
                                  write_synthetic_csv)
 from ocoboost.bench.experiment import (ExperimentConfig, emit_table,
-                                       parse_table_csv, run_experiment,
+                                       run_experiment,
                                        square_loss_gradient_bound)
 from ocoboost.errors import ConfigError, DataError
 from ocoboost.geometry import Interval
+from ocoboost.weak import DecisionStump
 
 _WITHOUT_OPTIONAL_DEPS = """
 import sys
@@ -170,21 +173,25 @@ class TestExperiment:
                    for fmt in ("markdown", "csv", "json")]
         assert tables == tables2
 
-    def test_stream_isolation_hashes(self, small_csv):
+    def test_stream_isolation_read_only(self, small_csv, monkeypatch):
+        # a learner that writes into its context would change the stream
+        # the other predictors see; the write itself must fail
+        def writes_context(self, context):
+            context[0] = 0.0
+            return np.zeros(1)
+
+        monkeypatch.setattr(DecisionStump, "predict", writes_context)
         cfg = ExperimentConfig(dataset=small_csv, learners=("stump",),
-                               n_values=(2, 4), runs=2, seed=3,
-                               check_streams=True)
-        result = run_experiment(cfg)
-        for per_run in result.stream_hashes:
-            assert len(set(per_run.values())) == 1
+                               n_values=(2, 4), runs=1, seed=3)
+        with pytest.raises(ValueError, match="read-only"):
+            run_experiment(cfg)
 
     def test_seed_discipline_across_n_lists(self, small_csv):
-        base = dict(dataset=small_csv, learners=("stump",), runs=2, seed=9,
-                    check_streams=True)
+        base = dict(dataset=small_csv, learners=("stump",), runs=2, seed=9)
         r1 = run_experiment(ExperimentConfig(n_values=(2,), **base))
         r2 = run_experiment(ExperimentConfig(n_values=(2, 3), **base))
-        for h1, h2 in zip(r1.stream_hashes, r2.stream_hashes):
-            assert set(h1.values()) == set(h2.values())
+        assert (r1.rows[0]["per_run_ratio"]["N=2"]
+                == r2.rows[0]["per_run_ratio"]["N=2"])
 
     def test_too_small_dataset_refused(self, tmp_path):
         path = _write_csv(tmp_path / "tiny.csv", "a,y\n" +
@@ -219,15 +226,17 @@ class TestTables:
 
     def test_csv_round_trip(self, result):
         text = emit_table(result, "csv")
-        rows = parse_table_csv(text)
-        assert [r["learner"] for r in rows] == ["stump", "ridge"]
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [r["Learner"] for r in rows] == ["stump", "ridge"]
         for row, orig in zip(rows, result.rows):
-            assert row["wl"] == 1.0
-            for lab, val in row["normalized"].items():
-                assert val == pytest.approx(orig["normalized"][lab], abs=5e-4)
-            assert row["improvement"] == pytest.approx(orig["improvement"],
-                                                       abs=0.05)
-        # emitting the parsed rows again is byte-identical
+            assert float(row["WL"]) == 1.0
+            assert set(row) == {"Learner", "WL", *orig["normalized"],
+                                "Improvement"}
+            for lab, val in orig["normalized"].items():
+                assert float(row[lab]) == pytest.approx(val, abs=5e-4)
+            assert float(row["Improvement"]) == pytest.approx(
+                orig["improvement"], abs=0.05)
+        # emitting again is byte-identical
         assert emit_table(result, "csv") == text
 
     def test_json_schema_validates(self, result):
@@ -283,6 +292,8 @@ class TestCli:
         ["synth", "--scenario", "oco", "--n", "2,-1", "--horizon", "10",
          "--seeds", "1"],
         ["synth", "--scenario", "sco", "--n", "0"],
+        ["run", "--dataset", "synthetic", "--step", "nan"],
+        ["run", "--dataset", "synthetic", "--step", "inf"],
     ])
     def test_bad_values_exit_with_config_error(self, argv, capsys):
         code = main(argv)
@@ -290,6 +301,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+        if "--step" in argv:
+            assert "step" in err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

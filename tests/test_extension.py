@@ -89,6 +89,19 @@ class TestProx:
             prox(_zero_loss(1), Interval(-1, 1), kappa=1.0, delta=0.0, x=[0.0])
         with pytest.raises(ConfigError):
             prox(_zero_loss(1), Interval(-1, 1), kappa=-1.0, delta=1.0, x=[0.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="delta"):
+                ExtendedLoss(LinearLoss([1.0]), Interval(-1, 1), delta=bad,
+                             kappa=1.0)
+            with pytest.raises(ConfigError, match="kappa"):
+                ExtendedLoss(LinearLoss([1.0]), Interval(-1, 1), delta=1.0,
+                             kappa=bad)
+            with pytest.raises(ConfigError, match="delta"):
+                prox(_zero_loss(1), Interval(-1, 1), kappa=1.0, delta=bad,
+                     x=[2.0])
+            with pytest.raises(ConfigError, match="kappa"):
+                prox(_zero_loss(1), Interval(-1, 1), kappa=bad, delta=1.0,
+                     x=[2.0])
 
 
 class TestExtendedLoss:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ocoboost.errors import ConfigError, NonFiniteInput
+from ocoboost.errors import ConfigError, DimensionMismatch, NonFiniteInput
 from ocoboost.geometry import Ball, Interval
 from ocoboost.losses import (CallableLoss, LinearLoss, QuadraticLoss, ScaledLoss,
-                             ShiftedLoss, lipschitz_bound)
+                             ShiftedLoss, closed_form, lipschitz_bound)
 from ocoboost.testkit import finite_diff_grad
 
 from conftest import set_families
@@ -51,6 +51,46 @@ class TestGrads:
                 x, y = rng.standard_normal(2), rng.standard_normal(2)
                 mid = loss.value(0.5 * (x + y))
                 assert mid <= 0.5 * (loss.value(x) + loss.value(y)) + 1e-9
+
+
+class TestClosedForm:
+    def test_wrapped_forms(self):
+        lin = LinearLoss([1.0, -2.0])
+        weight, target, direction = closed_form(
+            ScaledLoss(ShiftedLoss(ScaledLoss(lin, 2.0), [5.0, 5.0]), 3.0))
+        assert weight == 0.0 and target is None
+        np.testing.assert_array_equal(direction, [6.0, -12.0])
+
+        quad = QuadraticLoss([1.0, 2.0], weight=0.5)
+        weight, target, direction = closed_form(
+            ShiftedLoss(ScaledLoss(ShiftedLoss(quad, [1.0, 0.0]), 4.0),
+                        [0.0, 3.0]))
+        assert weight == 2.0 and direction is None
+        np.testing.assert_array_equal(target, [0.0, -1.0])
+
+    def test_forms_match_values(self, rng):
+        quad = QuadraticLoss(rng.standard_normal(3), weight=1.3)
+        lin = LinearLoss(rng.standard_normal(3))
+        for loss in (ScaledLoss(ShiftedLoss(quad, rng.standard_normal(3)), 0.7),
+                     ShiftedLoss(ScaledLoss(lin, 2.5), rng.standard_normal(3))):
+            weight, target, direction = closed_form(loss)
+            x, y = rng.standard_normal(3), rng.standard_normal(3)
+            if target is None:
+                # a linear loss up to a constant
+                expected = direction @ (x - y)
+            else:
+                expected = weight * (np.sum((x - target) ** 2)
+                                     - np.sum((y - target) ** 2))
+            assert loss.value(x) - loss.value(y) == pytest.approx(expected)
+
+    def test_other_losses_have_none(self):
+        bare = CallableLoss(lambda x: float(x @ x), lambda x: 2.0 * x)
+        assert closed_form(bare) is None
+        assert closed_form(ScaledLoss(ShiftedLoss(bare, [1.0]), 2.0)) is None
+
+    def test_offset_dimension_checked(self):
+        with pytest.raises(DimensionMismatch):
+            closed_form(ShiftedLoss(QuadraticLoss([0.0]), [1.0, 2.0]))
 
 
 class TestLipschitzBound:

@@ -38,6 +38,12 @@ class TestOracles:
         with pytest.raises(ConfigError):
             FiniteSupportOracle([(LinearLoss([1.0]), np.array([0.0]))],
                                 probs=[0.7])
+        atoms = [(LinearLoss([1.0]), np.array([0.0])),
+                 (LinearLoss([2.0]), np.array([1.0]))]
+        for probs in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf],
+                      [[0.5], [0.5]], 1.0):
+            with pytest.raises(ConfigError):
+                FiniteSupportOracle(atoms, probs=probs)
 
 
 class TestErmWeakOptimizer:
