@@ -46,13 +46,33 @@ def default_explore_rate(d: int, horizon: int, n_learners: int, gamma: float,
     return min(1.0, float(np.sqrt(a / horizon)))
 
 
-def verify_simplex_containment(set_: DecisionSet,
-                               tol: float = SIMPLEX_CONTAINMENT_TOL) -> None:
+def resolve_explore_rate(explore_rate, d: int, horizon: int | None,
+                         n_learners: int, gamma: float,
+                         weak_regret_bound: float = 0.0) -> float:
+    """The exploration probability: ``default_explore_rate`` for "auto"
+    (which needs the horizon), else the given number, which must lie in
+    [0, 1]."""
+    if explore_rate == "auto":
+        if horizon is None:
+            raise ConfigError("explore_rate 'auto' needs a horizon")
+        return default_explore_rate(d, horizon, n_learners, gamma,
+                                    weak_regret_bound)
+    try:
+        rate = float(explore_rate)
+    except (TypeError, ValueError):
+        raise ConfigError("explore_rate must be 'auto' or a number, got "
+                          f"{explore_rate!r}") from None
+    if not 0.0 <= rate <= 1.0:
+        raise ConfigError(f"explore_rate must lie in [0, 1], got {rate}")
+    return rate
+
+
+def verify_simplex_containment(set_: DecisionSet) -> None:
     """Require every coordinate basis vector to project to itself."""
     for i in range(set_.dim):
         e = np.zeros(set_.dim)
         e[i] = 1.0
-        if set_.distance(e) > tol:
+        if set_.distance(e) > SIMPLEX_CONTAINMENT_TOL:
             raise ConfigError(
                 f"decision set does not contain the unit simplex: basis "
                 f"vector {i} is at distance {set_.distance(e):.3e}")
@@ -69,21 +89,10 @@ class BanditBooster:
         verify_simplex_containment(set_)
         self.set_ = set_
         self.dim = set_.dim
+        self.explore_rate = resolve_explore_rate(
+            explore_rate, self.dim, horizon, inner_config.n_learners,
+            inner_config.gamma, weak_regret_bound)
         self.inner = OnlineBooster(set_, learner_factory, inner_config)
-        if explore_rate == "auto":
-            if horizon is None:
-                raise ConfigError("auto explore rate needs a horizon")
-            explore_rate = default_explore_rate(
-                self.dim, horizon, inner_config.n_learners,
-                inner_config.gamma, weak_regret_bound)
-        try:
-            explore_rate = float(explore_rate)
-        except (TypeError, ValueError):
-            raise ConfigError("explore_rate must be 'auto' or a number, got "
-                              f"{explore_rate!r}") from None
-        if not 0.0 <= explore_rate <= 1.0:
-            raise ConfigError("explore_rate must lie in [0, 1]")
-        self.explore_rate = explore_rate
 
         streams = np.random.SeedSequence(seed).spawn(3)
         self._bernoulli_rng = np.random.default_rng(streams[0])

@@ -100,19 +100,13 @@ def _cmd_synth(args) -> int:
             rows.append([n, f"{np.mean(regrets):.3f}", f"{outs[0]['bound']:.3f}"])
     elif args.scenario == "bandit":
         horizon = args.horizon or 4000
-        rate = args.explore_rate
-        if rate != "auto":
-            try:
-                rate = float(rate)
-            except ValueError:
-                raise ConfigError("--explore-rate must be 'auto' or a number, "
-                                  f"got {rate!r}") from None
         n = (args.n or (16,))[0]
         regrets = []
         rates = []
         for s in range(args.seeds):
             out = synth.bandit_scenario(horizon, n_learners=n,
-                                        gamma=args.gamma, explore_rate=rate,
+                                        gamma=args.gamma,
+                                        explore_rate=args.explore_rate,
                                         seed=args.seed + s)
             regrets.append(out["regrets"][horizon])
             rates.append(out["explore_rate"])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bandit import BanditBooster, default_explore_rate
+from ..bandit import BanditBooster, resolve_explore_rate
 from ..booster import BoosterConfig, OnlineBooster
 from ..errors import ConfigError
 from ..extension import default_delta
@@ -137,17 +137,17 @@ def bandit_scenario(horizon: int, n_learners: int = 16, gamma: float = 0.5,
     policy_points = np.eye(BANDIT_ARMS)[policies[:, types]]  # (J, T, d)
 
     simplex = Simplex(BANDIT_ARMS)
-    centroid = simplex.centroid
-    hypotheses = [lambda c, j=j: policy_points[j, int(c[0])] - centroid
+    # the policies' points in coordinates centred on the simplex centroid
+    centred_points = policy_points - simplex.centroid
+    hypotheses = [lambda c, j=j: centred_points[j, int(c[0])]
                   for j in range(policies.shape[0])]
 
     weak_regret_bound = 2.0 * np.sqrt(horizon * np.log(policies.shape[0]))
-    rate = explore_rate
-    if rate == "auto":
-        rate = default_explore_rate(BANDIT_ARMS, horizon, n_learners, gamma,
-                                    weak_regret_bound)
-    if not 0.0 < rate <= 1.0:
-        raise ConfigError(f"explore_rate must lie in (0, 1], got {rate}")
+    rate = resolve_explore_rate(explore_rate, BANDIT_ARMS, horizon, n_learners,
+                                gamma, weak_regret_bound)
+    if rate == 0.0:
+        raise ConfigError("explore_rate must be positive: the loss estimates "
+                          "scale by 1/explore_rate")
     # gradient bound of the sparse estimates, used for the inner defaults
     estimate_bound = BANDIT_ARMS * 1.0 / rate
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .extension import (DEFAULT_BUDGET, DEFAULT_TOL, ExtendedLoss,
-                        check_prox_settings, default_delta)
+from .extension import ExtendedLoss, default_delta
 from .geometry import DecisionSet, as_point
-from .losses import ConvexLoss, LinearLoss, ShiftedLoss
+from .losses import ConvexLoss, ShiftedLoss
 
 
 def step_sizes(n: int) -> list[float]:
@@ -42,8 +41,6 @@ class BoosterConfig:
     lipschitz: float | None = None
     delta: float | None = None
     kappa: float | None = None
-    prox_budget: int = DEFAULT_BUDGET
-    prox_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.n_learners < 1:
@@ -59,7 +56,6 @@ class BoosterConfig:
                               f"got {self.lipschitz}")
         if self.lipschitz is None and (self.delta is None or self.kappa is None):
             raise ConfigError("need lipschitz unless both delta and kappa are given")
-        check_prox_settings(self.prox_budget, self.prox_tol)
 
     def smoothing(self, diameter: float) -> tuple[float, float]:
         """(delta, kappa) for a set of this diameter: the given values, else
@@ -79,7 +75,6 @@ class RoundTrajectory:
     """Stage points x^0..x^N of one round, kept between predict and update."""
 
     stages: np.ndarray          # (N+1, d), recentered coordinates
-    learner_plays: np.ndarray   # (N, d), recentered coordinates
     played: np.ndarray          # original coordinates
 
 
@@ -120,15 +115,15 @@ class OnlineBooster:
         context = as_point(context, name="context")
         n, d = self.n_learners, self.set_c.dim
         stages = np.empty((n + 1, d))
-        plays = np.empty((n, d))
         stages[0] = 0.0  # the centroid, in recentered coordinates
         for i in range(n):
-            plays[i] = self.learners[i].predict(context)
+            # learner i's play, written into stage i + 1 and mixed there
+            stages[i + 1] = self.learners[i].predict(context)
             eta = self.etas[i]
-            stages[i + 1] = (1.0 - eta) * stages[i] + (eta / self.gamma) * plays[i]
+            stages[i + 1] = ((1.0 - eta) * stages[i]
+                             + (eta / self.gamma) * stages[i + 1])
         played_c = self.set_c._project(stages[n])
-        traj = RoundTrajectory(stages=stages, learner_plays=plays,
-                               played=played_c + self.offset)
+        traj = RoundTrajectory(stages=stages, played=played_c + self.offset)
         self._last_traj = traj
         return traj.played.copy(), traj
 
@@ -140,16 +135,14 @@ class OnlineBooster:
 
         loss_c = (loss if not np.any(self.offset)
                   else ShiftedLoss(loss, self.offset))
-        ext = ExtendedLoss(loss_c, self.set_c, self.delta, self.kappa,
-                           budget=self.config.prox_budget,
-                           tol=self.config.prox_tol)
+        ext = ExtendedLoss(loss_c, self.set_c, self.delta, self.kappa)
         for i in range(self.n_learners):
             g, info = ext.grad_with_info(trajectory.stages[i])
             self.max_grad_norm = max(self.max_grad_norm, math.sqrt(float(g @ g)))
             self.prox_nonconverged += not info.converged
             self.prox_worst_residual = max(self.prox_worst_residual,
                                            info.residual)
-            self.learners[i].update(LinearLoss(g))
+            self.learners[i].update(g)
 
         self.realized_loss += loss.value(trajectory.played)
         self.rounds_done += 1

@@ -26,8 +26,9 @@ from .errors import ConfigError
 from .geometry import DecisionSet, as_point
 from .losses import ConvexLoss, closed_form
 
-DEFAULT_BUDGET = 200
-DEFAULT_TOL = 1e-8
+# iteration budget and residual tolerance of the iterative prox
+PROX_BUDGET = 200
+PROX_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,6 @@ class ProxInfo:
 
 
 _EXACT_INFO = ProxInfo(residual=0.0, iterations=0, converged=True)
-
-
-def check_prox_settings(budget: int, tol: float) -> None:
-    """Reject a prox budget below one iteration or a non-positive tolerance:
-    with no iteration the iterative prox returns its start point, a silent
-    zero gradient."""
-    if budget < 1:
-        raise ConfigError(f"prox_budget must be >= 1, got {budget}")
-    if not tol > 0:
-        raise ConfigError(f"prox_tol must be positive, got {tol}")
 
 
 def default_delta(diameter: float, gamma: float, n_learners: int,
@@ -74,15 +65,14 @@ def _shrink_toward_projection(set_: DecisionSet, z: np.ndarray, bound: float) ->
     return z + (bound / dist) * (p - z)
 
 
-def prox(loss: ConvexLoss, set_: DecisionSet, kappa: float, delta: float, x,
-         budget: int = DEFAULT_BUDGET, tol: float = DEFAULT_TOL):
+def prox(loss: ConvexLoss, set_: DecisionSet, kappa: float, delta: float, x):
     """Minimize f(y) + kappa*Dist(y,K) + ||x-y||^2/(2 delta) over y.
 
     Returns (minimizer, ProxInfo). When the inner solver runs out of budget
     the best iterate is returned with ``converged=False``; the caller
     decides what to do with the flagged residual.
     """
-    ext = ExtendedLoss(loss, set_, delta, kappa, budget, tol)
+    ext = ExtendedLoss(loss, set_, delta, kappa)
     return ext._prox(as_point(x, set_.dim))
 
 
@@ -127,18 +117,15 @@ class ExtendedLoss:
     """Smoothed extension of a convex loss beyond its decision set."""
 
     def __init__(self, base: ConvexLoss, set_: DecisionSet, delta: float,
-                 kappa: float, budget: int = DEFAULT_BUDGET, tol: float = DEFAULT_TOL):
+                 kappa: float):
         if not 0.0 < delta < math.inf:
             raise ConfigError(f"delta must be positive and finite, got {delta}")
         if not 0.0 <= kappa < math.inf:
             raise ConfigError(f"kappa must be nonnegative and finite, got {kappa}")
-        check_prox_settings(budget, tol)
         self.base = base
         self.set_ = set_
         self.delta = float(delta)
         self.kappa = float(kappa)
-        self.budget = int(budget)
-        self.tol = float(tol)
         self._weight, self._target, self._direction = (closed_form(base)
                                                        or (None, None, None))
 
@@ -156,7 +143,7 @@ class ExtendedLoss:
             z = (2.0 * w * self._target + x / delta) / a
             return _shrink_toward_projection(self.set_, z, self.kappa / a), _EXACT_INFO
         return _prox_iterative(self.base, self.set_, self.kappa, self.delta, x,
-                               self.budget, self.tol)
+                               PROX_BUDGET, PROX_TOL)
 
     def composite_value(self, y) -> float:
         return self.base.value(y) + self.kappa * self.set_.distance(y)

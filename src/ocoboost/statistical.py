@@ -19,7 +19,7 @@ import numpy as np
 
 from .booster import BoosterConfig, step_sizes
 from .errors import ConfigError, StageError
-from .extension import DEFAULT_BUDGET, DEFAULT_TOL, ExtendedLoss
+from .extension import ExtendedLoss
 from .geometry import DecisionSet, as_point
 from .losses import LinearLoss, ShiftedLoss
 
@@ -193,18 +193,14 @@ class ErmWeakOptimizer:
 
 def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionSet,
                            n_stages: int, gamma: float, stage_budget: int,
-                           delta: float | None = None, kappa: float | None = None,
-                           lipschitz: float | None = None,
-                           prox_budget: int = DEFAULT_BUDGET,
-                           prox_tol: float = DEFAULT_TOL) -> BoostedHypothesis:
+                           lipschitz: float) -> BoostedHypothesis:
     """Run N boosting stages against a sampling oracle and return the
     projected mixture hypothesis. Total sample cost is n_stages * stage_budget
     (sampled weak optimizers consume a fresh budget per stage). The settings
-    are checked, and delta and kappa resolved, as a ``BoosterConfig`` with
-    N = n_stages; the fit starts at the centroid with no components."""
-    config = BoosterConfig(n_learners=n_stages, gamma=gamma,
-                           lipschitz=lipschitz, delta=delta, kappa=kappa,
-                           prox_budget=prox_budget, prox_tol=prox_tol)
+    are checked, and delta and kappa resolved from the gradient bound
+    ``lipschitz``, as a ``BoosterConfig`` with N = n_stages; the fit starts
+    at the centroid with no components."""
+    config = BoosterConfig(n_learners=n_stages, gamma=gamma, lipschitz=lipschitz)
     delta, kappa = config.smoothing(set_.diameter)
     set_c, offset = set_.recenter()
     components = []
@@ -212,8 +208,7 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
 
     def extend(loss):
         loss_c = loss if not np.any(offset) else ShiftedLoss(loss, offset)
-        return ExtendedLoss(loss_c, set_c, delta, kappa,
-                            budget=prox_budget, tol=prox_tol)
+        return ExtendedLoss(loss_c, set_c, delta, kappa)
 
     def evaluate(hyp, contexts):
         return np.array([as_point(hyp(c), set_c.dim) for c in contexts])

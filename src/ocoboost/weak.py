@@ -54,6 +54,8 @@ class WeakLearner:
         raise NotImplementedError
 
     def update(self, loss) -> None:
+        """Feed the last round's linear loss: a ``LinearLoss`` or its
+        direction vector (the boosters pass the vector)."""
         g = _loss_vector(loss, self.action_dim)
         if self._last_context is None:
             raise ProtocolError("update before any predict")
@@ -61,9 +63,6 @@ class WeakLearner:
         self.rounds += 1
 
     def _apply_update(self, context, g):
-        raise NotImplementedError
-
-    def reset(self) -> None:
         raise NotImplementedError
 
     def _remember(self, context):
@@ -84,10 +83,6 @@ class UniformBaseline(WeakLearner):
 
     def _apply_update(self, context, g):
         pass
-
-    def reset(self):
-        self.rounds = 0
-        self._last_context = None
 
 
 class ScaledLeaderOracle(WeakLearner):
@@ -145,12 +140,6 @@ class ScaledLeaderOracle(WeakLearner):
         self.cum_losses += actions @ g
         self._last_actions = None
 
-    def reset(self):
-        self.rounds = 0
-        self._last_context = None
-        self._last_actions = None
-        self.cum_losses = np.zeros(len(self.hypotheses))
-
 
 class DecisionStump(WeakLearner):
     """Single-feature threshold predictor over quantile bins.
@@ -181,11 +170,6 @@ class DecisionStump(WeakLearner):
         self.bins = int(bins)
         self.warmup = int(warmup)
         self.anchor = anchor
-        self.reset()
-
-    def reset(self):
-        self.rounds = 0
-        self._last_context = None
         self._buffer = []
         self.edges = None
         self.counts = np.zeros((self.feature_dim, self.bins), dtype=np.int64)
@@ -259,11 +243,6 @@ class OnlineRidge(WeakLearner):
         self.l2 = float(l2)
         self.power = float(power)
         self.anchor = anchor
-        self.reset()
-
-    def reset(self):
-        self.rounds = 0
-        self._last_context = None
         self.weights = np.zeros((self.action_dim, self.feature_dim))
         self.bias = np.zeros(self.action_dim)
 
@@ -300,11 +279,6 @@ class TinyMlp(WeakLearner):
         self.seed = int(seed)
         self.power = float(power)
         self.anchor = anchor
-        self.reset()
-
-    def reset(self):
-        self.rounds = 0
-        self._last_context = None
         rng = np.random.default_rng(self.seed)
         self.w1 = 0.1 * rng.standard_normal((self.hidden, self.feature_dim))
         self.b1 = np.zeros(self.hidden)
@@ -338,13 +312,15 @@ class TinyMlp(WeakLearner):
 
 
 def empirical_gamma_regret(learner: WeakLearner, transcript, hypotheses) -> float:
-    """Drive a reset learner through (context, linear loss) pairs and return
+    """Drive a fresh learner through (context, linear loss) pairs and return
     its cumulative loss minus gamma times the best comparator's."""
     if not transcript:
         raise ConfigError("transcript is empty")
     if not hypotheses:
         raise ConfigError("need a comparator class")
-    learner.reset()
+    if learner._last_context is not None:
+        raise ConfigError("empirical_gamma_regret needs a learner that has "
+                          "not played yet")
     total = 0.0
     comparator = np.zeros(len(hypotheses))
     for context, loss in transcript:

@@ -90,8 +90,7 @@ def test_criterion_02_moreau_gradient():
         loss = QuadraticLoss(set_.sample(rng), weight=rng.uniform(0.3, 1.5))
         g_bound = lipschitz_bound(loss, set_, inflate=3.0)
         delta = rng.uniform(0.1, 0.5)
-        ext = ExtendedLoss(loss, set_, delta=delta, kappa=g_bound, tol=1e-10,
-                           budget=500)
+        ext = ExtendedLoss(loss, set_, delta=delta, kappa=g_bound)
         x = set_.sample(rng) + rng.uniform(0, 1.5) * rng.standard_normal(set_.dim)
         fd = finite_diff_grad(ext.value, x)
         grad = ext.grad(x)
@@ -106,8 +105,7 @@ def test_criterion_02_moreau_gradient():
         loss = QuadraticLoss(set_.sample(rng), weight=rng.uniform(0.3, 1.0))
         g_bound = lipschitz_bound(loss, set_, inflate=4.0)
         delta = rng.uniform(0.2, 0.6)
-        ext = ExtendedLoss(loss, set_, delta=delta, kappa=g_bound, tol=1e-10,
-                           budget=500)
+        ext = ExtendedLoss(loss, set_, delta=delta, kappa=g_bound)
         bounds = [(-3.0, 3.0)] * set_.dim
         grid = GridSpec(bounds, points=401 if one_d else 241)
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ocoboost.bandit import (BanditBooster, default_explore_rate,
-                             verify_simplex_containment)
+                             resolve_explore_rate, verify_simplex_containment)
+from ocoboost.bench import synth
 from ocoboost.booster import BoosterConfig
 from ocoboost.errors import ConfigError, NonFiniteInput, ProtocolError
 from ocoboost.geometry import Ball, Box, Simplex
@@ -242,3 +243,21 @@ class TestDefaultExploreRate:
         assert expected < default_explore_rate(3, 1000, 256, 1.0, 40.0) < 1.0
         assert bb.explore_rate == pytest.approx(expected)
 
+
+class TestResolveExploreRate:
+    def test_auto_and_numbers(self):
+        assert resolve_explore_rate("auto", 3, 1000, 256, 1.0, 20.0) \
+            == default_explore_rate(3, 1000, 256, 1.0, 20.0)
+        for given in (0.0, 0.25, "0.25", 1):
+            assert resolve_explore_rate(given, 4, None, 2, 0.5) == float(given)
+
+    @pytest.mark.parametrize("explore_rate, horizon", [
+        ("auto", None), ("high", 100), (float("nan"), 100), (-0.1, 100),
+        (1.5, 100)])
+    def test_rejects(self, explore_rate, horizon):
+        with pytest.raises(ConfigError, match="explore_rate"):
+            resolve_explore_rate(explore_rate, 4, horizon, 2, 0.5)
+
+    def test_scenario_names_the_setting(self):
+        with pytest.raises(ConfigError, match="explore_rate"):
+            synth.bandit_scenario(10, n_learners=2, explore_rate="high")

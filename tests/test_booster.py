@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ocoboost import extension
 from ocoboost.bandit import BanditBooster
 from ocoboost.booster import BoosterConfig, OnlineBooster
 from ocoboost.errors import ConfigError, ProtocolError
@@ -28,9 +29,6 @@ class FixedLearner(WeakLearner):
         return self.point.copy()
 
     def _apply_update(self, context, g):
-        pass
-
-    def reset(self):
         pass
 
 
@@ -81,9 +79,9 @@ class TestPredictRecurrence:
         etas = booster.etas
         recomputed = np.empty_like(traj.stages)
         recomputed[0] = traj.stages[0]
-        for i in range(3):
+        for i, learner in enumerate(booster.learners):
             recomputed[i + 1] = ((1.0 - etas[i]) * recomputed[i]
-                                 + (etas[i] / 0.4) * traj.learner_plays[i])
+                                 + (etas[i] / 0.4) * learner.point)
         np.testing.assert_array_equal(recomputed, traj.stages)
 
     def test_original_coordinates_round_trip(self):
@@ -200,16 +198,17 @@ class TestRegretReport:
 
 
 class TestRunningTotals:
-    def test_prox_counters(self):
+    def test_prox_counters(self, monkeypatch):
         # a quadratic written as a CallableLoss runs the iterative prox; one
         # iteration at tol 1e-14 leaves every solve unconverged
+        monkeypatch.setattr(extension, "PROX_BUDGET", 1)
+        monkeypatch.setattr(extension, "PROX_TOL", 1e-14)
         box = Box([-1.0, -1.0], [1.0, 1.0])
         quad = QuadraticLoss([0.2, -0.3], weight=5.0)
         loss = CallableLoss(quad.value, quad.grad,
                             curvature_hint=quad.curvature_hint)
         pts = [np.array([0.9, -0.8]), np.array([-0.7, 0.6]), np.array([0.5, 0.5])]
-        booster = _fixed_booster(box, pts, gamma=0.5, kappa=2.0,
-                                 prox_budget=1, prox_tol=1e-14)
+        booster = _fixed_booster(box, pts, gamma=0.5, kappa=2.0)
         linear = _fixed_booster(box, pts, gamma=0.5, kappa=2.0)
         for _ in range(4):
             for b, f in ((booster, loss), (linear, LinearLoss([0.3, -0.6]))):
@@ -245,12 +244,6 @@ class TestTranscriptAndConfig:
             # neither kappa nor lipschitz
             OnlineBooster(Ball(2, 1.0), lambda i, s: UniformBaseline(s),
                           BoosterConfig(n_learners=1, gamma=0.5, delta=0.5))
-        with pytest.raises(ConfigError, match="prox_budget"):
-            BoosterConfig(n_learners=1, gamma=0.5, lipschitz=1.0,
-                          prox_budget=0)
-        with pytest.raises(ConfigError, match="prox_tol"):
-            BoosterConfig(n_learners=1, gamma=0.5, lipschitz=1.0,
-                          prox_tol=0.0)
         # non-finite settings fail when the config is built, not at the
         # first update
         nan, inf = float("nan"), float("inf")

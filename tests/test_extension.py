@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ocoboost.errors import ConfigError
-from ocoboost.extension import ExtendedLoss, default_delta, prox
+from ocoboost.extension import (ExtendedLoss, _prox_iterative, default_delta,
+                                prox)
 from ocoboost.geometry import Ball, Box, Interval, ShiftedSet, Simplex
 from ocoboost.losses import (CallableLoss, LinearLoss, QuadraticLoss,
                              ScaledLoss, ShiftedLoss, lipschitz_bound)
@@ -38,7 +39,6 @@ class TestProx:
         assert info.residual == 0.0
 
     def test_iterative_matches_closed_form_quadratic(self, rng):
-        from ocoboost.extension import _prox_iterative
         sets = [Interval(-1.0, 1.0), Box([-1.0, 0.0, -0.5], [1.0, 2.0, 0.5]),
                 Ball(2, 1.5, center=[0.5, -0.5]), Simplex(3),
                 ShiftedSet(Simplex(3), [-0.2, 0.1, 0.4])]
@@ -66,23 +66,10 @@ class TestProx:
         box = Box([-1.0, -1.0], [1.0, 1.0])
         quad = QuadraticLoss([0.2, -0.3], weight=5.0)
         loss = CallableLoss(quad.value, quad.grad, curvature_hint=quad.curvature_hint)
-        _, info = prox(loss, box, kappa=1.0, delta=2.0, x=[3.0, -2.0],
-                       budget=1, tol=1e-14)
+        _, info = _prox_iterative(loss, box, 1.0, 2.0, np.array([3.0, -2.0]),
+                                  1, 1e-14)
         assert not info.converged
         assert info.residual > 0
-
-    def test_zero_budget_rejected(self):
-        # with no iteration the iterative prox would return its start point:
-        # a zero gradient flagged only as unconverged
-        iv = Interval(-1.0, 1.0)
-        loss = CallableLoss(lambda x: float(x @ x), lambda x: 2.0 * x,
-                            curvature_hint=2.0)
-        with pytest.raises(ConfigError, match="prox_budget"):
-            ExtendedLoss(loss, iv, delta=0.5, kappa=1.0, budget=0)
-        with pytest.raises(ConfigError, match="prox_budget"):
-            prox(loss, iv, kappa=1.0, delta=0.5, x=[3.0], budget=0)
-        with pytest.raises(ConfigError, match="prox_tol"):
-            prox(loss, iv, kappa=1.0, delta=0.5, x=[3.0], tol=0.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):
@@ -182,7 +169,7 @@ class TestExtendedLoss:
     def test_grad_matches_finite_differences(self, rng):
         iv = Interval(-1.0, 1.0)
         loss = QuadraticLoss([0.5], weight=1.2)
-        ext = ExtendedLoss(loss, iv, delta=0.3, kappa=4.0, tol=1e-10)
+        ext = ExtendedLoss(loss, iv, delta=0.3, kappa=4.0)
         for _ in range(20):
             x = rng.uniform(-2.5, 2.5, size=1)
             fd = finite_diff_grad(ext.value, x)
@@ -219,7 +206,7 @@ def test_custom_loss_iterative_path(rng):
         lambda x: float(np.log(np.cosh(x[0])) + 0.5 * x[1] ** 2),
         lambda x: np.array([np.tanh(x[0]), x[1]]),
         lipschitz_hint=3.0, curvature_hint=1.0)
-    ext = ExtendedLoss(loss, box, delta=0.4, kappa=3.0, tol=1e-10)
+    ext = ExtendedLoss(loss, box, delta=0.4, kappa=3.0)
     for _ in range(10):
         x = rng.uniform(-2, 2, size=2)
         fd = finite_diff_grad(ext.value, x)

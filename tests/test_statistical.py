@@ -325,19 +325,6 @@ def test_hypothesis_export_is_json_serializable():
     assert sum(coefs) == pytest.approx(1.0 / 0.5)
 
 
-def test_fit_rejects_bad_config():
-    iv = Interval(-1.0, 1.0)
-    oracle = _two_point_oracle()
-    wopt = ErmWeakOptimizer(_constant_hyps([-0.5, 0.1, 0.9]), gamma=0.5,
-                            exact=True)
-    for prox_settings, match in (({"prox_budget": 0}, "prox_budget"),
-                                 ({"prox_tol": 0.0}, "prox_tol")):
-        with pytest.raises(ConfigError, match=match):
-            fit_boosted_hypothesis(oracle, wopt, iv, n_stages=2, gamma=0.5,
-                                   stage_budget=1, lipschitz=8.0,
-                                   **prox_settings)
-
-
 def test_fitted_actions_always_feasible(rng):
     iv = Interval(-0.3, 1.7)
     oracle = _two_point_oracle()

@@ -194,17 +194,6 @@ class TestGradientFitLearners:
             a.update(LinearLoss(g))
             b.update(LinearLoss(g))
 
-    def test_reset_restores_initial_state(self, rng):
-        iv = Interval(-1.0, 1.0)
-        mlp = TinyMlp(2, iv, seed=3)
-        c = np.array([0.5, -0.5])
-        first = mlp.predict(c).copy()
-        for _ in range(10):
-            mlp.predict(c)
-            mlp.update(LinearLoss([rng.standard_normal()]))
-        mlp.reset()
-        np.testing.assert_array_equal(mlp.predict(c), first)
-
 
 def test_predictions_stay_feasible_under_adversarial_losses(rng):
     sets = [Interval(-1.0, 1.0), Ball(2, 1.0), Simplex(3)]
@@ -231,3 +220,16 @@ def test_empirical_gamma_regret_empty_transcript(rng):
     with pytest.raises(ConfigError):
         empirical_gamma_regret(learner, [], [lambda c: np.zeros(2)])
 
+
+def test_empirical_gamma_regret_rejects_used_learner(rng):
+    # the regret is of a fresh learner's play; one that has played carries
+    # state from rounds the transcript does not hold
+    hyps = _ball_hypotheses(rng)
+    transcript = [(rng.standard_normal(1), LinearLoss(rng.standard_normal(2)))]
+    for played_rounds in (0, 1):
+        learner = ScaledLeaderOracle(hyps, 0.5, Ball(2, 1.0))
+        learner.predict(np.zeros(1))
+        if played_rounds:
+            learner.update(LinearLoss([1.0, 0.0]))
+        with pytest.raises(ConfigError, match="not played"):
+            empirical_gamma_regret(learner, transcript, hyps)
