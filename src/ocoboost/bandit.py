@@ -52,7 +52,7 @@ def resolve_explore_rate(explore_rate, d: int, horizon: int | None,
     """The exploration probability: ``default_explore_rate`` for "auto"
     (which needs the horizon), else the given number, which must lie in
     [0, 1]."""
-    if explore_rate == "auto":
+    if isinstance(explore_rate, str) and explore_rate == "auto":
         if horizon is None:
             raise ConfigError("explore_rate 'auto' needs a horizon")
         return default_explore_rate(d, horizon, n_learners, gamma,

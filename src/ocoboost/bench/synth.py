@@ -46,12 +46,6 @@ _OCO_MATRICES = [
 ]
 
 
-def _project_ball_rows(points: np.ndarray, radius: float = 1.0) -> np.ndarray:
-    norms = np.linalg.norm(points, axis=1, keepdims=True)
-    factors = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
-    return points * factors
-
-
 def oco_scenario(n_learners: int, horizon: int = 5000, gamma: float = 0.5,
                  seed: int = 0, noise: float = 0.5) -> dict:
     """One full-information run; returns the measured regret against the
@@ -62,7 +56,7 @@ def oco_scenario(n_learners: int, horizon: int = 5000, gamma: float = 0.5,
 
     angles = rng.uniform(0.0, 2.0 * np.pi, size=horizon)
     contexts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    actions = np.stack([_project_ball_rows(contexts @ m.T)
+    actions = np.stack([ball._project(contexts @ m.T)
                         for m in _OCO_MATRICES])  # (J, T, 2)
 
     raw = -actions[0] + noise * rng.standard_normal((horizon, OCO_DIM))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ProtocolError
 from .extension import ExtendedLoss, default_delta
-from .geometry import DecisionSet, as_point
+from .geometry import DecisionSet, as_point, row_norms
 from .losses import ConvexLoss, ShiftedLoss
 
 
@@ -136,13 +136,13 @@ class OnlineBooster:
         loss_c = (loss if not np.any(self.offset)
                   else ShiftedLoss(loss, self.offset))
         ext = ExtendedLoss(loss_c, self.set_c, self.delta, self.kappa)
-        for i in range(self.n_learners):
-            g, info = ext.grad_with_info(trajectory.stages[i])
-            self.max_grad_norm = max(self.max_grad_norm, math.sqrt(float(g @ g)))
-            self.prox_nonconverged += not info.converged
-            self.prox_worst_residual = max(self.prox_worst_residual,
-                                           info.residual)
-            self.learners[i].update(g)
+        # learner i's gradient is row i, taken at its incoming stage point
+        grads, info = ext.grad_with_info(trajectory.stages[:-1])
+        self.max_grad_norm = max(self.max_grad_norm, float(row_norms(grads).max()))
+        self.prox_nonconverged += info.nonconverged
+        self.prox_worst_residual = max(self.prox_worst_residual, info.residual)
+        for learner, g in zip(self.learners, grads):
+            learner.update(g)
 
         self.realized_loss += loss.value(trajectory.played)
         self.rounds_done += 1

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import DecisionSet, as_point
+from .geometry import DecisionSet, as_point, row_norms
 from .losses import ConvexLoss, closed_form
 
 # iteration budget and residual tolerance of the iterative prox
@@ -33,12 +33,19 @@ PROX_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ProxInfo:
+    """How prox solves went: the worst residual, the iterations summed and
+    the number of solves that ran out of budget (a batch solves each row)."""
+
     residual: float
     iterations: int
-    converged: bool
+    nonconverged: int
+
+    @property
+    def converged(self) -> bool:
+        return self.nonconverged == 0
 
 
-_EXACT_INFO = ProxInfo(residual=0.0, iterations=0, converged=True)
+_EXACT_INFO = ProxInfo(residual=0.0, iterations=0, nonconverged=0)
 
 
 def default_delta(diameter: float, gamma: float, n_learners: int,
@@ -55,14 +62,15 @@ def default_delta(diameter: float, gamma: float, n_learners: int,
 
 
 def _shrink_toward_projection(set_: DecisionSet, z: np.ndarray, bound: float) -> np.ndarray:
-    """Prox of bound * Dist(., K) at z: move toward the projection by
-    min(bound, distance)."""
+    """Prox of bound * Dist(., K) at z, or at each row of z: move toward the
+    projection by min(bound, distance)."""
     p = set_._project(z)
-    d = z - p
-    dist = math.sqrt(float(d @ d))
-    if dist <= bound:
-        return p
-    return z + (bound / dist) * (p - z)
+    step = p - z
+    dist = row_norms(step)[..., None]
+    far = dist > bound
+    # rows within bound land on the projection; dividing them by 1 keeps a
+    # zero distance from raising a divide warning
+    return np.where(far, z + bound / np.where(far, dist, 1.0) * step, p)
 
 
 def prox(loss: ConvexLoss, set_: DecisionSet, kappa: float, delta: float, x):
@@ -109,8 +117,8 @@ def _prox_iterative(loss, set_, kappa, delta, x, budget, tol):
         residual = float(np.linalg.norm(cand - y)) / step
         y = cand
         if residual <= tol:
-            return y, ProxInfo(residual=residual, iterations=iterations, converged=True)
-    return y, ProxInfo(residual=residual, iterations=iterations, converged=False)
+            return y, ProxInfo(residual=residual, iterations=iterations, nonconverged=0)
+    return y, ProxInfo(residual=residual, iterations=iterations, nonconverged=1)
 
 
 class ExtendedLoss:
@@ -130,8 +138,9 @@ class ExtendedLoss:
                                                        or (None, None, None))
 
     def _prox(self, x: np.ndarray):
-        """(prox point of x, ProxInfo): one shrink toward the projection for
-        a linear or quadratic base, the iterative solver otherwise."""
+        """(prox point of x, ProxInfo) for a point or for each row of an
+        (N, d) array: one shrink toward the projection for a linear or
+        quadratic base, an iterative solve per row otherwise."""
         if self._direction is not None:
             y = _shrink_toward_projection(self.set_, x - self.delta * self._direction,
                                           self.delta * self.kappa)
@@ -142,8 +151,13 @@ class ExtendedLoss:
             a = 2.0 * w + 1.0 / delta
             z = (2.0 * w * self._target + x / delta) / a
             return _shrink_toward_projection(self.set_, z, self.kappa / a), _EXACT_INFO
-        return _prox_iterative(self.base, self.set_, self.kappa, self.delta, x,
-                               PROX_BUDGET, PROX_TOL)
+        ys, infos = zip(*(_prox_iterative(self.base, self.set_, self.kappa,
+                                          self.delta, row, PROX_BUDGET, PROX_TOL)
+                          for row in x.reshape(-1, x.shape[-1])))
+        return np.array(ys).reshape(x.shape), ProxInfo(
+            residual=max(info.residual for info in infos),
+            iterations=sum(info.iterations for info in infos),
+            nonconverged=sum(info.nonconverged for info in infos))
 
     def composite_value(self, y) -> float:
         return self.base.value(y) + self.kappa * self.set_.distance(y)
@@ -164,7 +178,9 @@ class ExtendedLoss:
         return self.grad_with_info(x)[0]
 
     def grad_with_info(self, x):
-        """Gradient only: skips the envelope-value arithmetic of evaluate."""
+        """(gradient, ProxInfo) at a point, or at each row of an (N, d)
+        array, from one call; skips the envelope-value arithmetic of
+        evaluate."""
         x = np.asarray(x, dtype=np.float64)
         y, info = self._prox(x)
         return (x - y) / self.delta, info

@@ -5,7 +5,8 @@ membership tolerance is a tight ``MEMBERSHIP_TOL``.
 
 Public methods validate their inputs; the underscored ``_project`` /
 ``_distance`` variants skip validation and exist for the per-round inner
-loops.
+loops. ``_project`` also takes an (N, d) array and projects each row, with
+the same bits as projecting the rows one at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ def as_point(x, dim=None, name="point"):
     return arr
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of x (of x itself when 1-D), equal bit for
+    bit to ``math.sqrt(float(row @ row))``. ``vecdot`` sums like the 1-D
+    dot product; ``einsum`` and ``(x * x).sum(-1)`` can differ in the last
+    bit, which flips exact ties downstream."""
+    return np.sqrt(np.vecdot(x, x))
+
+
 class DecisionSet:
     """A convex body with projection, distance, diameter, and centroid."""
 
@@ -54,6 +63,7 @@ class DecisionSet:
         return self._project(as_point(x, self.dim))
 
     def _project(self, x: np.ndarray) -> np.ndarray:
+        """Projection of a point (d,), or of each row of an (N, d) array."""
         raise NotImplementedError
 
     def distance(self, x) -> float:
@@ -109,10 +119,11 @@ class Ball(DecisionSet):
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         v = x - self.center
-        norm = math.sqrt(float(v @ v))
-        if norm <= self.radius:
-            return x.copy()
-        return self.center + v * (self.radius / norm)
+        norm = row_norms(v)[..., None]
+        # rows inside are returned as they are; the floor at the radius
+        # keeps a zero norm from raising a divide warning
+        scale = self.radius / np.maximum(norm, self.radius)
+        return np.where(norm <= self.radius, x, self.center + v * scale)
 
     def _distance(self, x: np.ndarray) -> float:
         v = x - self.center
@@ -153,7 +164,8 @@ class Box(DecisionSet):
         return 0.5 * (self.lower + self.upper)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
+        # the method runs the same ufunc as np.clip without its wrapper
+        return x.clip(self.lower, self.upper)
 
     def shift(self, offset) -> "Box":
         off = as_point(offset, self.dim)
@@ -199,6 +211,7 @@ class Simplex(DecisionSet):
             raise ConfigError("simplex total must be positive")
         self.dim = int(dim)
         self.total = float(total)
+        self._ranks = np.arange(1.0, self.dim + 1)
 
     @property
     def diameter(self) -> float:
@@ -211,15 +224,16 @@ class Simplex(DecisionSet):
         return np.full(self.dim, self.total / self.dim)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        # sort-and-threshold: with u sorted descending, theta is
-        # (u_1 + ... + u_k - total) / k at the largest k with u_k above it;
-        # k = 1 always qualifies for total > 0
-        u = np.sort(x)[::-1]
-        css = np.cumsum(u) - self.total
-        idx = np.arange(1, x.shape[0] + 1)
-        mask = u - css / idx > 0.0
-        theta = css[mask][-1] / idx[mask][-1]
-        return np.maximum(x - theta, 0.0)
+        # sort-and-threshold per row (Duchi et al., ICML 2008): with u
+        # sorted descending, theta is (u_1 + ... + u_k - total) / k at the
+        # largest k with u_k above it; k = 1 always qualifies for total > 0
+        rows = x.reshape(-1, self.dim)
+        u = np.sort(rows)[:, ::-1]
+        thresholds = (u.cumsum(axis=1) - self.total) / self._ranks
+        # the largest k is the first from the right
+        last = (u > thresholds)[:, ::-1].argmax(axis=1)
+        theta = thresholds[:, ::-1][np.arange(rows.shape[0]), last]
+        return np.maximum(rows - theta[:, None], 0.0).reshape(x.shape)
 
     def farthest_distance(self, point) -> float:
         point = as_point(point, self.dim)
@@ -285,5 +299,7 @@ class CustomSet(DecisionSet):
         return self._centroid.copy()
 
     def _project(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 2:  # the oracle takes one point at a time
+            return np.array([self._project(row) for row in x])
         return as_point(self._project_fn(x), self.dim, "projection output")
 

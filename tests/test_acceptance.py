@@ -203,7 +203,7 @@ def test_criterion_06b_comparator_cross_check():
     rng = np.random.default_rng(0)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=400)
     contexts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    actions = np.stack([synth._project_ball_rows(contexts @ m.T)
+    actions = np.stack([Ball(2, 1.0)._project(contexts @ m.T)
                         for m in synth._OCO_MATRICES])
     raw = -actions[0] + 0.5 * rng.standard_normal((400, 2))
     dirs = raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)

@@ -253,7 +253,7 @@ class TestResolveExploreRate:
 
     @pytest.mark.parametrize("explore_rate, horizon", [
         ("auto", None), ("high", 100), (float("nan"), 100), (-0.1, 100),
-        (1.5, 100)])
+        (1.5, 100), (np.array([0.2, 0.3]), 100)])
     def test_rejects(self, explore_rate, horizon):
         with pytest.raises(ConfigError, match="explore_rate"):
             resolve_explore_rate(explore_rate, 4, horizon, 2, 0.5)

@@ -10,7 +10,7 @@ from ocoboost.bandit import BanditBooster
 from ocoboost.booster import BoosterConfig, OnlineBooster
 from ocoboost.errors import ConfigError, ProtocolError
 from ocoboost.extension import ExtendedLoss
-from ocoboost.geometry import Ball, Box, Interval, Simplex
+from ocoboost.geometry import Ball, Box, CustomSet, Interval, Simplex
 from ocoboost.losses import CallableLoss, LinearLoss, QuadraticLoss
 from ocoboost.testkit import finite_diff_grad, hull_optimum
 from ocoboost.weak import (DecisionStump, ScaledLeaderOracle, UniformBaseline,
@@ -218,6 +218,59 @@ class TestRunningTotals:
         assert booster.prox_worst_residual > 0
         assert linear.prox_nonconverged == 0
         assert linear.prox_worst_residual == 0
+
+
+class RecordingLearner(FixedLearner):
+    """A fixed learner that keeps every gradient it is fed."""
+
+    def __init__(self, set_, point):
+        super().__init__(set_, point)
+        self.grads = []
+
+    def _apply_update(self, context, g):
+        self.grads.append(g.copy())
+
+
+class TestBatchedUpdate:
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_one_gradient_call_per_update(self, monkeypatch, n):
+        shapes = []
+        grad_with_info = ExtendedLoss.grad_with_info
+
+        def counted(self, x):
+            shapes.append(np.shape(x))
+            return grad_with_info(self, x)
+
+        monkeypatch.setattr(ExtendedLoss, "grad_with_info", counted)
+        cfg = BoosterConfig(n_learners=n, gamma=0.5, lipschitz=2.0)
+        booster = OnlineBooster(Simplex(3), lambda i, s: UniformBaseline(s), cfg)
+        _, traj = booster.predict([0.0])
+        booster.update(LinearLoss([0.3, -0.2, 0.5]), traj)
+        assert shapes == [(n, 3)]
+
+    def test_custom_set_round_matches_box(self):
+        # a projection oracle takes one point at a time, so the batch loops
+        # over its rows; the round must equal the same round on a Box
+        box = Box([-1.0, -1.0], [1.0, 1.0])
+        custom = CustomSet(2, lambda x: np.clip(x, -1.0, 1.0),
+                           diameter=box.diameter, centroid=[0.0, 0.0])
+        pts = [[0.9, -0.8], [-0.7, 0.6], [0.5, 0.5], [0.1, -0.9]]
+        cfg = BoosterConfig(n_learners=len(pts), gamma=0.5, lipschitz=2.0)
+        runs = []
+        for set_ in (box, custom):
+            booster = OnlineBooster(
+                set_, lambda i, s: RecordingLearner(s, pts[i]), cfg)
+            played = []
+            for loss in (LinearLoss([0.3, -0.6]), QuadraticLoss([0.8, 0.1])):
+                x, traj = booster.predict([0.0])
+                booster.update(loss, traj)
+                played.append(x)
+            runs.append((played, [l.grads for l in booster.learners],
+                         booster.max_grad_norm))
+        (box_played, box_grads, box_norm), (played, grads, norm) = runs
+        assert np.array_equal(played, box_played)
+        assert np.array_equal(grads, box_grads)
+        assert norm == box_norm > 0
 
 
 class TestTranscriptAndConfig:

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from ocoboost.errors import ConfigError
-from ocoboost.extension import (ExtendedLoss, _prox_iterative, default_delta,
-                                prox)
+from ocoboost.extension import (ExtendedLoss, _prox_iterative,
+                                _shrink_toward_projection, default_delta, prox)
 from ocoboost.geometry import Ball, Box, Interval, ShiftedSet, Simplex
 from ocoboost.losses import (CallableLoss, LinearLoss, QuadraticLoss,
                              ScaledLoss, ShiftedLoss, lipschitz_bound)
 from ocoboost.testkit import GridSpec, finite_diff_grad, grid_moreau
+
+from conftest import row_cases, row_sets
 
 
 def _zero_loss(dim):
@@ -183,6 +187,63 @@ class TestExtendedLoss:
         ext = ExtendedLoss(loss, iv, delta=0.5, kappa=2.0)
         _, _, info = ext.evaluate([2.0])
         assert info.iterations == 0  # closed form, no inner iterations
+
+
+def _shrink_reference(set_, z, bound):
+    """One point's shrink toward the projection, written for a 1-D array."""
+    p = set_._project(z)
+    d = z - p
+    dist = math.sqrt(float(d @ d))
+    if dist <= bound:
+        return p
+    return z + (bound / dist) * (p - z)
+
+
+class TestRows:
+    """A batch of rows gets, bit for bit, what each row gets on its own."""
+
+    @pytest.mark.parametrize("name", sorted(row_sets()))
+    def test_shrink_rows_match_points(self, rng, name):
+        set_ = row_sets()[name]
+        rows = row_cases(set_, rng)
+        for bound in (0.0, 0.3, 10.0):
+            shrunk = _shrink_toward_projection(set_, rows, bound)
+            assert shrunk.shape == rows.shape
+            for z, y in zip(rows, shrunk):
+                assert np.array_equal(y, _shrink_toward_projection(set_, z, bound))
+                assert np.array_equal(y, _shrink_reference(set_, z, bound))
+
+    @pytest.mark.parametrize("name", sorted(row_sets()))
+    def test_grad_rows_match_points(self, rng, name):
+        set_ = row_sets()[name]
+        d = set_.dim
+        quad = QuadraticLoss(rng.uniform(-1, 1, size=d), weight=0.8)
+        losses = [LinearLoss(rng.standard_normal(d)), quad,
+                  ScaledLoss(ShiftedLoss(quad, rng.uniform(-1, 1, size=d)), 1.7)]
+        rows = row_cases(set_, rng)
+        for loss in losses:
+            ext = ExtendedLoss(loss, set_, delta=0.4, kappa=1.5)
+            grads, info = ext.grad_with_info(rows)
+            assert info.iterations == 0 and info.converged
+            for x, g in zip(rows, grads):
+                assert np.array_equal(g, ext.grad_with_info(x)[0])
+
+    def test_iterative_rows_match_points(self, rng):
+        # no closed form: each row is solved on its own, and the batch's
+        # info sums the iterations and takes the worst residual
+        quad = QuadraticLoss([0.2, -0.3], weight=5.0)
+        loss = CallableLoss(quad.value, quad.grad,
+                            curvature_hint=quad.curvature_hint)
+        for set_ in (Box([-1.0, -1.0], [1.0, 1.0]), row_sets()["custom2"]):
+            ext = ExtendedLoss(loss, set_, delta=0.4, kappa=1.5)
+            rows = row_cases(set_, rng)[::4]
+            grads, info = ext.grad_with_info(rows)
+            singles = [ext.grad_with_info(x) for x in rows]
+            for g, (g1, _) in zip(grads, singles):
+                assert np.array_equal(g, g1)
+            assert info.iterations == sum(i.iterations for _, i in singles) > 0
+            assert info.residual == max(i.residual for _, i in singles)
+            assert info.nonconverged == 0
 
 
 class TestDefaultDelta:

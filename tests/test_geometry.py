@@ -1,11 +1,32 @@
+import math
+
 import numpy as np
 import pytest
 
 from ocoboost.errors import DimensionMismatch, NonFiniteInput
-from ocoboost.geometry import Ball, CustomSet, Interval, Simplex, as_point
+from ocoboost.geometry import (Ball, CustomSet, Interval, Simplex, as_point,
+                               row_norms)
 from ocoboost.testkit import _simplex_grid
 
-from conftest import sample_near, set_families
+from conftest import row_cases, row_sets, sample_near, set_families
+
+
+def _simplex_reference(x, total):
+    """One point's sort-and-threshold, written for a 1-D array."""
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - total
+    idx = np.arange(1, x.shape[0] + 1)
+    mask = u - css / idx > 0.0
+    theta = css[mask][-1] / idx[mask][-1]
+    return np.maximum(x - theta, 0.0)
+
+
+def _ball_reference(x, center, radius):
+    v = x - center
+    norm = math.sqrt(float(v @ v))
+    if norm <= radius:
+        return x.copy()
+    return center + v * (radius / norm)
 
 
 class TestProject:
@@ -62,6 +83,37 @@ class TestProject:
             theta = r[p > 0].max()
             np.testing.assert_allclose(r[p > 0], theta, rtol=0, atol=1e-12)
             assert np.all(r <= theta + 1e-12)
+
+
+class TestRowProjection:
+    @pytest.mark.parametrize("name", sorted(row_sets()))
+    def test_rows_match_points(self, rng, name):
+        set_ = row_sets()[name]
+        rows = row_cases(set_, rng)
+        projected = set_._project(rows)
+        assert projected.shape == rows.shape
+        for x, p in zip(rows, projected):
+            assert np.array_equal(p, set_._project(x))
+
+    def test_points_match_one_point_references(self, rng):
+        # the row code, fed one point, keeps the one-point formulas' bits
+        for set_ in (Simplex(4), Simplex(3, 2.0)):
+            for x in row_cases(set_, rng):
+                assert np.array_equal(set_._project(x),
+                                      _simplex_reference(x, set_.total))
+        ball = Ball(3, 1.5, center=[0.5, -0.5, 0.2])
+        for x in row_cases(ball, rng):
+            assert np.array_equal(ball._project(x),
+                                  _ball_reference(x, ball.center, ball.radius))
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_row_norms_match_point_norms(self, rng, dim):
+        rows = rng.standard_normal((400, dim)) * rng.choice(
+            [1e-3, 1.0, 1e3], size=(400, 1))
+        norms = row_norms(rows)
+        for x, norm in zip(rows, norms):
+            assert norm == math.sqrt(float(x @ x))
+        assert row_norms(rows[0]) == norms[0]
 
 
 class TestDistance:
