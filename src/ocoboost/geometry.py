@@ -30,10 +30,9 @@ def as_point(x, dim=None, name="point"):
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatch(f"{name} has dimension {arr.shape[0]}, expected {dim}")
     # a finite squared norm implies finite entries (entries large enough to
-    # overflow the square are rejected along with NaN/Inf)
-    with np.errstate(over="ignore"):
-        sq = float(arr @ arr)
-    if not math.isfinite(sq):
+    # overflow the square are rejected along with NaN/Inf); vdot raises no
+    # floating-point warnings
+    if not math.isfinite(np.vdot(arr, arr)):
         raise NonFiniteInput(f"{name} contains non-finite entries")
     return arr
 

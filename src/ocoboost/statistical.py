@@ -112,7 +112,8 @@ class ScaledHypothesis:
         self.name = name or f"{self.factor:g}*{getattr(base, 'name', 'hypothesis')}"
 
     def __call__(self, context) -> np.ndarray:
-        return self.factor * as_point(self.base(context))
+        # checked where it is read: the mixture, the fit's stage points, a loss
+        return self.factor * np.asarray(self.base(context), dtype=np.float64)
 
 
 class BoostedHypothesis:
@@ -135,7 +136,7 @@ class BoostedHypothesis:
         return out
 
     def __call__(self, context) -> np.ndarray:
-        return self.set_c.project(self.raw(context)) + self.offset
+        return self.set_c._project(self.raw(context)) + self.offset
 
     def to_dict(self) -> dict:
         return {
@@ -164,21 +165,19 @@ class ErmWeakOptimizer:
         self.exact = exact
 
     def solve(self, oracle: SampleOracle, budget: int):
-        totals = np.zeros(len(self.hypotheses))
+        # (loss, context, weight): the support, or ``budget`` draws of weight 1
         if self.exact:
-            support = oracle.support()
-            if support is None:
+            samples = oracle.support()
+            if samples is None:
                 raise ConfigError("exact ERM needs a finite-support oracle")
-            for loss, context, p in support:
-                totals += p * np.array([loss.value(h(context))
-                                        for h in self.hypotheses])
         else:
             if budget < 1:
                 raise ConfigError("sample budget must be >= 1")
-            for _ in range(budget):
-                loss, context = oracle.draw()
-                totals += np.array([loss.value(h(context))
-                                    for h in self.hypotheses])
+            samples = [(*oracle.draw(), 1.0) for _ in range(budget)]
+        totals = np.zeros(len(self.hypotheses))
+        for loss, context, weight in samples:
+            totals += weight * np.array([loss.value(h(context))
+                                         for h in self.hypotheses])
         best = int(np.argmin(totals))
         base = self.hypotheses[best]
         name = f"erm[{best}]"
@@ -203,8 +202,8 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
     config = BoosterConfig(n_learners=n_stages, gamma=gamma, lipschitz=lipschitz)
     delta, kappa = config.smoothing(set_.diameter)
     set_c, offset = set_.recenter()
-    components = []
-    etas = step_sizes(n_stages)
+    hypothesis = BoostedHypothesis([], set_c, offset)
+    components = hypothesis.components  # advanced in place, stage by stage
 
     def extend(loss):
         loss_c = loss if not np.any(offset) else ShiftedLoss(loss, offset)
@@ -223,22 +222,20 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
         del support  # its (loss, context, p) tuples are not needed again
         points = np.zeros((len(contexts), set_c.dim))
 
-    for i in range(n_stages):
-        stage_oracle = _StageOracle(
-            oracle, BoostedHypothesis(components, set_c, offset).raw,
-            extend, atoms, points)
-        eta = etas[i]
+    for i, eta in enumerate(step_sizes(n_stages), 1):
+        stage_oracle = _StageOracle(oracle, hypothesis.raw, extend, atoms, points)
         try:
             learned = weak_optimizer.solve(stage_oracle, stage_budget)
             if points is not None:
                 points = (1.0 - eta) * points + (eta / gamma) * evaluate(learned, contexts)
         except Exception as exc:
-            raise StageError(i + 1, str(exc)) from exc
-        components = [((1.0 - eta) * coef, hyp) for coef, hyp in components]
+            raise StageError(i, str(exc)) from exc
+        # a step of 1 clears the earlier components
+        components[:] = ([] if eta == 1.0 else
+                         [((1.0 - eta) * coef, hyp) for coef, hyp in components])
         components.append((eta / gamma, learned))
-        components = [(coef, hyp) for coef, hyp in components if coef != 0.0]
 
-    return BoostedHypothesis(components, set_c, offset)
+    return hypothesis
 
 
 def population_loss(hypothesis, oracle: SampleOracle, n_samples: int):

@@ -54,12 +54,15 @@ class WeakLearner:
         raise NotImplementedError
 
     def update(self, loss) -> None:
-        """Feed the last round's linear loss: a ``LinearLoss`` or its
-        direction vector (the boosters pass the vector)."""
+        """Feed the round's linear loss: a ``LinearLoss`` or its direction
+        vector (the boosters pass the vector). An update consumes what its
+        ``predict`` set up, so afterwards the learner holds no reference to
+        the caller's context, and a second update needs a new predict."""
         g = _loss_vector(loss, self.action_dim)
         if self._last_context is None:
-            raise ProtocolError("update before any predict")
+            raise ProtocolError("update without a preceding predict")
         self._apply_update(self._last_context, g)
+        self._last_context = None
         self.rounds += 1
 
     def _apply_update(self, context, g):
@@ -114,13 +117,10 @@ class ScaledLeaderOracle(WeakLearner):
         self.cum_losses = np.zeros(len(self.hypotheses))
         self._last_actions = None
 
-    def _actions(self, context):
-        # hypotheses are trusted callables returning length-d vectors
-        return np.stack([h(context) for h in self.hypotheses])
-
     def predict(self, context) -> np.ndarray:
         self._remember(context)
-        actions = self._actions(context)
+        # hypotheses are trusted callables returning length-d vectors
+        actions = np.stack([h(context) for h in self.hypotheses])
         self._last_actions = actions
         if self.mode == "ftl":
             leader = int(np.argmin(self.cum_losses))
@@ -134,10 +134,7 @@ class ScaledLeaderOracle(WeakLearner):
         return self.gamma * (w @ actions)
 
     def _apply_update(self, context, g):
-        actions = self._last_actions
-        if actions is None:
-            actions = self._actions(context)
-        self.cum_losses += actions @ g
+        self.cum_losses += self._last_actions @ g
         self._last_actions = None
 
 
@@ -220,6 +217,10 @@ class DecisionStump(WeakLearner):
             self.leaves[j, b] = leaf + (target - leaf) / self.counts[j, b]
 
 
+RIDGE_L2 = 1e-4  # l2 penalty of OnlineRidge
+MLP_HIDDEN = 1  # hidden units of TinyMlp
+
+
 def _step_at(step: float, power: float, rounds: int) -> float:
     """Inverse-scaling step schedule step / t^power (power=0 for constant)."""
     if power == 0.0:
@@ -229,18 +230,17 @@ def _step_at(step: float, power: float, rounds: int) -> float:
 
 class OnlineRidge(WeakLearner):
     """Linear model fit online to the targets implied by its linear losses,
-    with an l2 penalty and an inverse-scaling step schedule (step/t^power)."""
+    with the l2 penalty ``RIDGE_L2`` and an inverse-scaling step schedule
+    (step/t^power)."""
 
     def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
-                 step: float = 0.01, l2: float = 1e-4, power: float = 0.25,
-                 anchor: str = "self"):
+                 step: float = 0.01, power: float = 0.25, anchor: str = "self"):
         super().__init__(set_)
         if anchor not in ("self", "zero"):
             raise ConfigError(f"unknown anchor '{anchor}'")
         self.feature_dim = int(feature_dim)
         self.gamma = float(gamma)
         self.step = float(step)
-        self.l2 = float(l2)
         self.power = float(power)
         self.anchor = anchor
         self.weights = np.zeros((self.action_dim, self.feature_dim))
@@ -251,14 +251,14 @@ class OnlineRidge(WeakLearner):
 
     def predict(self, context) -> np.ndarray:
         c = self._remember(context)
-        return self.set_.project(self.gamma * self._raw(c))
+        return self.set_._project(self.gamma * self._raw(c))
 
     def _apply_update(self, context, g):
         # err = raw - implied target; with anchor "self" the raw cancels
         err = 0.5 * g if self.anchor == "self" else self._raw(context) + 0.5 * g
         lr = _step_at(self.step, self.power, self.rounds)
-        self.weights -= lr * (np.outer(err, context) + self.l2 * self.weights)
-        self.bias -= lr * (err + self.l2 * self.bias)
+        self.weights -= lr * (np.outer(err, context) + RIDGE_L2 * self.weights)
+        self.bias -= lr * (err + RIDGE_L2 * self.bias)
 
 
 class TinyMlp(WeakLearner):
@@ -267,22 +267,21 @@ class TinyMlp(WeakLearner):
     ridge learner."""
 
     def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
-                 step: float = 0.01, hidden: int = 1, seed: int = 0,
-                 power: float = 0.25, anchor: str = "self"):
+                 step: float = 0.01, seed: int = 0, power: float = 0.25,
+                 anchor: str = "self"):
         super().__init__(set_)
         if anchor not in ("self", "zero"):
             raise ConfigError(f"unknown anchor '{anchor}'")
         self.feature_dim = int(feature_dim)
         self.gamma = float(gamma)
         self.step = float(step)
-        self.hidden = int(hidden)
         self.seed = int(seed)
         self.power = float(power)
         self.anchor = anchor
         rng = np.random.default_rng(self.seed)
-        self.w1 = 0.1 * rng.standard_normal((self.hidden, self.feature_dim))
-        self.b1 = np.zeros(self.hidden)
-        self.w2 = 0.1 * rng.standard_normal((self.action_dim, self.hidden))
+        self.w1 = 0.1 * rng.standard_normal((MLP_HIDDEN, self.feature_dim))
+        self.b1 = np.zeros(MLP_HIDDEN)
+        self.w2 = 0.1 * rng.standard_normal((self.action_dim, MLP_HIDDEN))
         self.b2 = np.zeros(self.action_dim)
         self._cache = None
 
@@ -293,14 +292,11 @@ class TinyMlp(WeakLearner):
     def predict(self, context) -> np.ndarray:
         c = self._remember(context)
         z, raw = self._forward(c)
-        self._cache = (c, z)
-        return self.set_.project(self.gamma * raw)
+        self._cache = z
+        return self.set_._project(self.gamma * raw)
 
     def _apply_update(self, context, g):
-        if self._cache is None or not np.array_equal(self._cache[0], context):
-            z, _ = self._forward(context)
-        else:
-            z = self._cache[1]
+        z = self._cache
         err = 0.5 * g if self.anchor == "self" else (self.w2 @ z + self.b2) + 0.5 * g
         lr = _step_at(self.step, self.power, self.rounds)
         gz = (self.w2.T @ err) * (1.0 - z * z)
@@ -318,7 +314,7 @@ def empirical_gamma_regret(learner: WeakLearner, transcript, hypotheses) -> floa
         raise ConfigError("transcript is empty")
     if not hypotheses:
         raise ConfigError("need a comparator class")
-    if learner._last_context is not None:
+    if learner._last_context is not None or learner.rounds > 0:
         raise ConfigError("empirical_gamma_regret needs a learner that has "
                           "not played yet")
     total = 0.0

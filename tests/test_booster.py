@@ -1,6 +1,7 @@
 import gc
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -326,6 +327,25 @@ def test_played_actions_always_feasible_under_adversarial_losses(rng):
         played, traj = booster.predict(rng.standard_normal(2))
         assert iv.contains(played)
         booster.update(LinearLoss([50.0 * rng.standard_normal()]), traj)
+
+
+def test_learners_keep_no_reference_to_the_callers_contexts(rng):
+    # the stumps' contexts are views into the feature matrix; once each
+    # round's update has consumed its predict, nothing holds the matrix
+    features = rng.standard_normal((300, 3))
+    targets = rng.uniform(-1.0, 1.0, 300)
+    booster = OnlineBooster(
+        Interval(-1.0, 1.0),
+        lambda i, s: DecisionStump(3, s, 0.5, warmup=20,
+                                   anchor="zero" if i == 0 else "self"),
+        BoosterConfig(n_learners=3, gamma=0.5, lipschitz=8.0))
+    for row, target in zip(features, targets):
+        _, traj = booster.predict(row)
+        booster.update(QuadraticLoss([target]), traj)
+    alive = weakref.ref(features)
+    del features, row
+    gc.collect()
+    assert alive() is None
 
 
 def _traced_program_bytes():

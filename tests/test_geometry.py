@@ -185,6 +185,18 @@ class TestHelpers:
         np.testing.assert_allclose(custom.project([3.0, 0.5]), [1.0, 0.5])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e155, 1e200])
+def test_as_point_rejects_non_finite_and_overflowing_entries(value):
+    # an entry whose square overflows is rejected with NaN and inf, and no
+    # floating-point warning escapes (the suite turns warnings into errors)
+    with pytest.raises(NonFiniteInput):
+        as_point([0.5, value])
+
+
+def test_as_point_accepts_large_finite_entries():
+    np.testing.assert_array_equal(as_point([1e150, -1e150]), [1e150, -1e150])
+
+
 def test_as_point_scalar_promotion():
     np.testing.assert_allclose(as_point(3.0), [3.0])
     with pytest.raises(DimensionMismatch):

@@ -215,6 +215,37 @@ def test_predictions_stay_feasible_under_adversarial_losses(rng):
                 learner.update(LinearLoss(100.0 * rng.standard_normal(set_c.dim)))
 
 
+_LEADER_HYPOTHESES = [lambda c: np.full(2, 0.1), lambda c: np.full(2, -0.1)]
+
+# name: (learner on the recentred set, rounds played before the check)
+_ONE_ROUND_LEARNERS = {
+    "uniform": (lambda s: UniformBaseline(s), 1),
+    "leader-ftl": (lambda s: ScaledLeaderOracle(_LEADER_HYPOTHESES, 0.5, s), 1),
+    "leader-hedge": (lambda s: ScaledLeaderOracle(_LEADER_HYPOTHESES, 0.5, s,
+                                                  mode="hedge"), 1),
+    "stump-in-warmup": (lambda s: DecisionStump(2, s, warmup=5), 1),
+    "stump-after-warmup": (lambda s: DecisionStump(2, s, warmup=5), 6),
+    "ridge": (lambda s: OnlineRidge(2, s), 1),
+    "mlp": (lambda s: TinyMlp(2, s, seed=3), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_ROUND_LEARNERS))
+def test_update_consumes_its_predict(rng, name):
+    # an update uses what its predict set up and keeps none of it, so a
+    # second update without a predict has nothing to act on
+    make, rounds = _ONE_ROUND_LEARNERS[name]
+    set_c, _ = Ball(2, 1.0).recenter()
+    learner = make(set_c)
+    for _ in range(rounds):
+        learner.predict(rng.standard_normal(2))
+        learner.update(LinearLoss(rng.standard_normal(2)))
+    if isinstance(learner, DecisionStump):
+        assert (learner.edges is not None) == (rounds > learner.warmup)
+    with pytest.raises(ProtocolError):
+        learner.update(LinearLoss(rng.standard_normal(2)))
+
+
 def test_empirical_gamma_regret_empty_transcript(rng):
     learner = UniformBaseline(Ball(2, 1.0))
     with pytest.raises(ConfigError):
