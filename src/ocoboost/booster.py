@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, NonFiniteInput, ProtocolError
 from .extension import ExtendedLoss, default_delta
 from .geometry import DecisionSet, as_point, row_norms
 from .losses import ConvexLoss, ShiftedLoss
@@ -122,6 +122,11 @@ class OnlineBooster:
             eta = self.etas[i]
             stages[i + 1] = ((1.0 - eta) * stages[i]
                              + (eta / self.gamma) * stages[i + 1])
+        if not math.isfinite(np.vdot(stages[n], stages[n])):
+            # 0 * NaN and 0 * inf are NaN, so a non-finite play reaches the
+            # final stage point; name the first learner whose play did
+            slot = int(np.flatnonzero(~np.isfinite(np.vecdot(stages, stages)))[0]) - 1
+            raise NonFiniteInput(f"learner {slot} played a non-finite point")
         played_c = self.set_c._project(stages[n])
         traj = RoundTrajectory(stages=stages, played=played_c + self.offset)
         self._last_traj = traj

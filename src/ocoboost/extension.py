@@ -12,7 +12,8 @@ and isotropic quadratic losses (also shifted or scaled) over any set: both
 reduce to one analytic shrink toward the projection. ``losses.closed_form``
 reads which form a loss has, once per extension. Any other loss runs a
 proximal-gradient splitting whose nonsmooth step (the distance penalty) is
-that same shrink.
+that same shrink. ``ExtendedLoss.rows`` stacks the closed forms of many
+losses, one per row, so that one shrink lifts them all.
 """
 
 from __future__ import annotations
@@ -136,6 +137,43 @@ class ExtendedLoss:
         self.kappa = float(kappa)
         self._weight, self._target, self._direction = (closed_form(base)
                                                        or (None, None, None))
+
+    @classmethod
+    def rows(cls, losses, set_: DecisionSet, delta: float, kappa: float):
+        """Extensions of ``losses``, one row each, as [(row indices,
+        extension)]. At an (n, d) array, an extension's gradient at the rows
+        it owns equals, row for row and bit for bit, the one-point gradient
+        of ``ExtendedLoss(losses[k], ...)``. The quadratic rows share one
+        extension with (m, 1) weights and (m, d) targets, the linear rows one
+        with (m, d) directions; any other loss is extended alone. A shared
+        extension only takes gradients: its ``base`` is None."""
+        n, dim = len(losses), set_.dim
+        weights, targets = np.empty((n, 1)), np.empty((n, dim))
+        directions = np.empty((n, dim))
+        quadratic, linear, extensions = [], [], []
+        for k, loss in enumerate(losses):
+            form = closed_form(loss)
+            if form is None:
+                extensions.append((np.array([k]), cls(loss, set_, delta, kappa)))
+            elif form[2] is None:
+                quadratic.append(k)
+                weights[k], targets[k] = form[0], form[1]
+            else:
+                linear.append(k)
+                directions[k] = form[2]
+
+        def shared(rows, weight, target, direction):
+            ext = cls(losses[rows[0]], set_, delta, kappa)  # checks delta and kappa
+            ext.base = None
+            ext._weight, ext._target, ext._direction = weight, target, direction
+            return np.array(rows), ext
+
+        if quadratic:
+            extensions.append(shared(quadratic, weights[quadratic],
+                                     targets[quadratic], None))
+        if linear:
+            extensions.append(shared(linear, 0.0, None, directions[linear]))
+        return extensions
 
     def _prox(self, x: np.ndarray):
         """(prox point of x, ProxInfo) for a point or for each row of an

@@ -228,7 +228,9 @@ class Simplex(DecisionSet):
         # largest k with u_k above it; k = 1 always qualifies for total > 0
         rows = x.reshape(-1, self.dim)
         u = np.sort(rows)[:, ::-1]
-        thresholds = (u.cumsum(axis=1) - self.total) / self._ranks
+        # np.add.accumulate is cumsum's ufunc: cumsum itself holds on to a
+        # few traced kilobytes inside numpy over its first few thousand calls
+        thresholds = (np.add.accumulate(u, axis=1) - self.total) / self._ranks
         # the largest k is the first from the right
         last = (u > thresholds)[:, ::-1].argmax(axis=1)
         theta = thresholds[:, ::-1][np.arange(rows.shape[0]), last]

@@ -15,10 +15,12 @@ adds the centroid offset back.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .booster import BoosterConfig, step_sizes
-from .errors import ConfigError, StageError
+from .errors import ConfigError, NonFiniteInput, StageError
 from .extension import ExtendedLoss
 from .geometry import DecisionSet, as_point
 from .losses import LinearLoss, ShiftedLoss
@@ -33,6 +35,20 @@ class SampleOracle:
     def support(self):
         """[(loss, context, probability)] for finite distributions, else None."""
         return None
+
+    def risks(self, hypotheses):
+        """Expected loss of each hypothesis over a finite support, else None."""
+        support = self.support()
+        return None if support is None else _totals(support, hypotheses)
+
+
+def _totals(samples, hypotheses) -> np.ndarray:
+    """Loss of each hypothesis, weighted and summed over (loss, context,
+    weight) samples in order."""
+    totals = np.zeros(len(hypotheses))
+    for loss, context, weight in samples:
+        totals += weight * np.array([loss.value(h(context)) for h in hypotheses])
+    return totals
 
 
 class FiniteSupportOracle(SampleOracle):
@@ -68,30 +84,108 @@ class CallableSampleOracle(SampleOracle):
 
 
 class _StageOracle(SampleOracle):
-    """Lift a base oracle to the linear losses of one boosting stage.
+    """The linear losses of the current boosting stage, one oracle per fit,
+    advanced in place from stage to stage.
 
     A drawn loss is extended and differentiated at the mixture of the
-    previous stages, evaluated at the drawn context. For a finite support
-    the fit passes each atom's extended loss and its stage point, carried
-    from stage to stage, so ``support()`` evaluates no earlier stage.
+    previous stages, evaluated at the drawn context. A finite support is
+    lifted at stage points carried by the same recursion as the mixture's
+    components, all atoms in one gradient step per stage. Each hypothesis
+    scored by ``risks`` is called once per atom per fit: its values at the
+    atom contexts are kept in a table that also gives the carried points.
     """
 
-    def __init__(self, base: SampleOracle, prev_hypothesis, extend, atoms, points):
+    def __init__(self, base: SampleOracle, prev_hypothesis, set_c: DecisionSet,
+                 offset, delta: float, kappa: float):
         self.base = base
         self.prev = prev_hypothesis
-        self.extend = extend
-        self.atoms = atoms  # (extended losses, contexts, probabilities) or None
-        self.points = points  # (K, d) stage points of the atoms
+        self.set_c, self.offset = set_c, offset
+        self.delta, self.kappa = delta, kappa
+        self.contexts = None
+        support = base.support()
+        if support is None:
+            return
+        losses, self.contexts, probs = zip(*support)
+        del support  # its (loss, context, p) tuples are not needed again
+        self.probs = np.array(probs, dtype=np.float64)
+        self.extensions = ExtendedLoss.rows(
+            [self._recentered(loss) for loss in losses], set_c, delta, kappa)
+        self.points = np.zeros((len(self.contexts), set_c.dim))  # (K, d)
+        self._grads = None  # (K, d) gradients at the points, once read
+        self._tabled = []  # the hypotheses whose values fill the table
+        self._values = None  # (K, J, d) values at the atom contexts
+
+    def _recentered(self, loss):
+        return loss if not np.any(self.offset) else ShiftedLoss(loss, self.offset)
 
     def draw(self):
         loss, context = self.base.draw()
-        return LinearLoss(self.extend(loss).grad(self.prev(context))), context
+        ext = ExtendedLoss(self._recentered(loss), self.set_c, self.delta, self.kappa)
+        return LinearLoss(ext.grad(self.prev(context))), context
+
+    def gradients(self) -> np.ndarray:
+        """(K, d) extension gradients of the atoms at their stage points."""
+        if self._grads is None:
+            grads = np.empty_like(self.points)
+            for rows, ext in self.extensions:
+                grads[rows] = ext.grad_with_info(self.points[rows])[0]
+            if not math.isfinite(np.vdot(grads, grads)):
+                raise NonFiniteInput("lifted losses contain non-finite entries")
+            self._grads = grads
+        return self._grads
 
     def support(self):
-        if self.atoms is None:
+        if self.contexts is None:
             return None
-        return [(LinearLoss(ext.grad(point)), c, p)
-                for ext, c, p, point in zip(*self.atoms, self.points)]
+        return [(LinearLoss(g), c, p) for g, c, p
+                in zip(self.gradients(), self.contexts, self.probs.tolist())]
+
+    def risks(self, hypotheses):
+        """Each hypothesis's expected lifted loss, from the table of its
+        values at the atom contexts. ``vecdot`` sums each atom's value like
+        ``LinearLoss.value``, and the running sum adds the atoms in order,
+        like ``_totals``: ``sum`` adds a single hypothesis's atoms pairwise,
+        and ``cumsum`` holds on to traced memory inside numpy."""
+        if self.contexts is None:
+            return None
+        self._tabulate(hypotheses)
+        weighted = self.probs[:, None] * np.vecdot(self._values,
+                                                   self.gradients()[:, None, :])
+        return np.add.accumulate(weighted, axis=0)[-1]
+
+    def _tabulate(self, hypotheses) -> None:
+        """Fill the table with the hypotheses' values at the atom contexts,
+        unless it already holds these hypotheses."""
+        if self._values is not None and len(self._tabled) == len(hypotheses) \
+                and all(a is b for a, b in zip(self._tabled, hypotheses)):
+            return
+        dim = self.set_c.dim
+        values = np.empty((len(self.contexts), len(hypotheses), dim))
+        for j, h in enumerate(hypotheses):
+            for k, c in enumerate(self.contexts):
+                values[k, j] = as_point(h(c), dim)
+        self._tabled, self._values = list(hypotheses), values
+
+    def column(self, hyp) -> np.ndarray:
+        """(K, d) values of a hypothesis at the atom contexts: read from the
+        table when it holds the hypothesis, scaled from its base's column
+        for a ``ScaledHypothesis``, else one call per atom."""
+        for j, h in enumerate(self._tabled):
+            if h is hyp:
+                return self._values[:, j]
+        if isinstance(hyp, ScaledHypothesis):
+            values = hyp.factor * self.column(hyp.base)
+            if not math.isfinite(np.vdot(values, values)):
+                raise NonFiniteInput(f"{hyp.name} has non-finite values")
+            return values
+        return np.array([as_point(hyp(c), self.set_c.dim) for c in self.contexts])
+
+    def advance(self, eta: float, scale: float, learned) -> None:
+        """Mix the learned hypothesis, weighted ``scale``, into the stage
+        points with step ``eta``."""
+        if self.contexts is not None:
+            self.points = (1.0 - eta) * self.points + scale * self.column(learned)
+            self._grads = None
 
 
 class ConstantHypothesis:
@@ -129,10 +223,18 @@ class BoostedHypothesis:
         self.offset = as_point(offset, set_c.dim)
 
     def raw(self, context) -> np.ndarray:
-        """Pre-projection mixture point in recentered coordinates."""
+        """Pre-projection mixture point in recentered coordinates. Each
+        distinct base of the ``ScaledHypothesis`` components is called once;
+        ``coef * (factor * value)`` keeps the bits of calling the component."""
         out = np.zeros(self.set_c.dim)
+        values = {}
         for coef, hyp in self.components:
-            out += coef * as_point(hyp(context), self.set_c.dim)
+            base, factor = ((hyp.base, hyp.factor) if isinstance(hyp, ScaledHypothesis)
+                            else (hyp, 1.0))
+            value = values.get(id(base))
+            if value is None:
+                value = values[id(base)] = as_point(base(context), self.set_c.dim)
+            out += coef * (factor * value)
         return out
 
     def __call__(self, context) -> np.ndarray:
@@ -165,20 +267,17 @@ class ErmWeakOptimizer:
         self.exact = exact
 
     def solve(self, oracle: SampleOracle, budget: int):
-        # (loss, context, weight): the support, or ``budget`` draws of weight 1
         if self.exact:
-            samples = oracle.support()
-            if samples is None:
+            totals = oracle.risks(self.hypotheses)
+            if totals is None:
                 raise ConfigError("exact ERM needs a finite-support oracle")
         else:
             if budget < 1:
                 raise ConfigError("sample budget must be >= 1")
-            samples = [(*oracle.draw(), 1.0) for _ in range(budget)]
-        totals = np.zeros(len(self.hypotheses))
-        for loss, context, weight in samples:
-            totals += weight * np.array([loss.value(h(context))
-                                         for h in self.hypotheses])
-        best = int(np.argmin(totals))
+            totals = _totals([(*oracle.draw(), 1.0) for _ in range(budget)],
+                             self.hypotheses)
+        # the method: np.argmin's Python wrapper left traced memory behind here
+        best = int(totals.argmin())
         base = self.hypotheses[best]
         name = f"erm[{best}]"
         return ScaledHypothesis(base, self.gamma, name=name)
@@ -205,29 +304,11 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
     hypothesis = BoostedHypothesis([], set_c, offset)
     components = hypothesis.components  # advanced in place, stage by stage
 
-    def extend(loss):
-        loss_c = loss if not np.any(offset) else ShiftedLoss(loss, offset)
-        return ExtendedLoss(loss_c, set_c, delta, kappa)
-
-    def evaluate(hyp, contexts):
-        return np.array([as_point(hyp(c), set_c.dim) for c in contexts])
-
-    # a finite support is lifted at stage points carried by the same
-    # recursion as the components, one hypothesis call per atom per stage
-    atoms = points = None
-    support = oracle.support()
-    if support is not None:
-        losses, contexts, probs = zip(*support)
-        atoms = [extend(loss) for loss in losses], contexts, probs
-        del support  # its (loss, context, p) tuples are not needed again
-        points = np.zeros((len(contexts), set_c.dim))
-
+    stage_oracle = _StageOracle(oracle, hypothesis.raw, set_c, offset, delta, kappa)
     for i, eta in enumerate(step_sizes(n_stages), 1):
-        stage_oracle = _StageOracle(oracle, hypothesis.raw, extend, atoms, points)
         try:
             learned = weak_optimizer.solve(stage_oracle, stage_budget)
-            if points is not None:
-                points = (1.0 - eta) * points + (eta / gamma) * evaluate(learned, contexts)
+            stage_oracle.advance(eta, eta / gamma, learned)
         except Exception as exc:
             raise StageError(i, str(exc)) from exc
         # a step of 1 clears the earlier components

@@ -9,7 +9,7 @@ import pytest
 from ocoboost import extension
 from ocoboost.bandit import BanditBooster
 from ocoboost.booster import BoosterConfig, OnlineBooster
-from ocoboost.errors import ConfigError, ProtocolError
+from ocoboost.errors import ConfigError, NonFiniteInput, ProtocolError
 from ocoboost.extension import ExtendedLoss
 from ocoboost.geometry import Ball, Box, CustomSet, Interval, Simplex
 from ocoboost.losses import CallableLoss, LinearLoss, QuadraticLoss
@@ -84,6 +84,14 @@ class TestPredictRecurrence:
             recomputed[i + 1] = ((1.0 - etas[i]) * recomputed[i]
                                  + (etas[i] / 0.4) * learner.point)
         np.testing.assert_array_equal(recomputed, traj.stages)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_play_raises_at_predict(self, bad):
+        # the first learner's play is finite, the second's is not
+        booster = _fixed_booster(Ball(2, 1.0), [[0.1, 0.2], [bad, 0.0]],
+                                 gamma=1.0)
+        with pytest.raises(NonFiniteInput, match="learner 1 "):
+            booster.predict([0.0])
 
     def test_original_coordinates_round_trip(self):
         iv = Interval(0.0, 2.0)  # centroid 1.0

@@ -228,6 +228,26 @@ class TestRows:
             for x, g in zip(rows, grads):
                 assert np.array_equal(g, ext.grad_with_info(x)[0])
 
+    @pytest.mark.parametrize("name", sorted(row_sets()))
+    def test_per_row_losses_match_points(self, rng, name):
+        # row k of ExtendedLoss.rows is losses[k]'s one-point gradient,
+        # whether it shares a closed form with other rows or not
+        set_ = row_sets()[name]
+        d = set_.dim
+        quad = QuadraticLoss(rng.uniform(-1, 1, size=d), weight=0.8)
+        cases = row_cases(set_, rng)
+        losses = [LinearLoss(rng.standard_normal(d)), quad,
+                  ScaledLoss(ShiftedLoss(quad, rng.uniform(-1, 1, size=d)), 1.7),
+                  CallableLoss(quad.value, quad.grad, curvature_hint=1.6)]
+        losses = [losses[k % len(losses)] for k in range(cases.shape[0])]
+        extensions = ExtendedLoss.rows(losses, set_, delta=0.4, kappa=1.5)
+        assert sorted(k for rows, _ in extensions for k in rows) \
+            == list(range(len(losses)))
+        for rows, ext in extensions:
+            for k, g in zip(rows, ext.grad_with_info(cases[rows])[0]):
+                one = ExtendedLoss(losses[k], set_, delta=0.4, kappa=1.5)
+                assert np.array_equal(g, one.grad(cases[k]))
+
     def test_iterative_rows_match_points(self, rng):
         # no closed form: each row is solved on its own, and the batch's
         # info sums the iterations and takes the worst residual

@@ -4,12 +4,15 @@ import json
 import numpy as np
 import pytest
 
+from ocoboost.booster import BoosterConfig
 from ocoboost.errors import ConfigError, StageError
 from ocoboost.extension import ExtendedLoss, default_delta
 from ocoboost.geometry import Box, Interval
-from ocoboost.losses import LinearLoss, QuadraticLoss, ScaledLoss, ShiftedLoss
-from ocoboost.statistical import (CallableSampleOracle, ConstantHypothesis,
-                                  ErmWeakOptimizer, FiniteSupportOracle,
+from ocoboost.losses import (CallableLoss, LinearLoss, QuadraticLoss, ScaledLoss,
+                             ShiftedLoss)
+from ocoboost.statistical import (BoostedHypothesis, CallableSampleOracle,
+                                  ConstantHypothesis, ErmWeakOptimizer,
+                                  FiniteSupportOracle, ScaledHypothesis,
                                   exact_population_loss, fit_boosted_hypothesis,
                                   population_loss)
 from ocoboost.testkit import hull_optimum
@@ -278,6 +281,128 @@ class TestStagePoints:
         _check_lifted(recorder, atoms, self.box, 0.5, 20.0)
         for _, c in drawn:
             assert self.box.contains(fitted(c))
+
+
+def _reference_fit(oracle, hyps, set_, n_stages, gamma, lipschitz):
+    """The exact-ERM fit written out the long way: a one-point extension
+    gradient per atom, every hypothesis called at every atom at every stage,
+    and the risks summed sample by sample. Returns the mixture's components,
+    a predictor that calls every component, each stage's (K, d) lifted
+    directions and each stage's risks."""
+    config = BoosterConfig(n_learners=n_stages, gamma=gamma, lipschitz=lipschitz)
+    delta, kappa = config.smoothing(set_.diameter)
+    set_c, offset = set_.recenter()
+    support = oracle.support()
+    exts = [ExtendedLoss(ShiftedLoss(loss, offset), set_c, delta, kappa)
+            for loss, _, _ in support]
+    points = np.zeros((len(support), set_c.dim))
+    components, lifted, risks = [], [], []
+    for i in range(1, n_stages + 1):
+        eta = min(2.0 / i, 1.0)
+        grads = [ext.grad(x) for ext, x in zip(exts, points)]
+        lifted.append(np.array(grads))
+        totals = np.zeros(len(hyps))
+        for g, (_, c, p) in zip(grads, support):
+            totals += p * np.array([float(g @ h(c)) for h in hyps])
+        risks.append(totals)
+        best = int(np.argmin(totals))
+        learned = ScaledHypothesis(hyps[best], gamma, name=f"erm[{best}]")
+        points = ((1.0 - eta) * points
+                  + (eta / gamma) * np.array([learned(c) for _, c, _ in support]))
+        components = ([] if eta == 1.0 else
+                      [((1.0 - eta) * coef, h) for coef, h in components])
+        components.append((eta / gamma, learned))
+
+    def predict(context):
+        out = np.zeros(set_c.dim)
+        for coef, h in components:
+            out += coef * h(context)
+        return set_c._project(out) + offset
+
+    return components, predict, lifted, risks
+
+
+class TestTabulatedFit:
+    """The fit tabulates each hypothesis once and lifts all atoms in one
+    gradient step per stage, with the bits of the fit written out above."""
+
+    box = Box([-1.0, -0.5, 0.0], [1.0, 1.5, 1.0])  # centroid off the origin
+    n_stages = 12
+
+    # one hypothesis: its risk still adds the atoms in order
+    @pytest.mark.parametrize("seed, n_hyps", [(s, 8) for s in range(5)] + [(0, 1)])
+    def test_same_bits_as_reference_fit(self, seed, n_hyps):
+        rng = np.random.default_rng(seed)
+        oracle = _box_oracle(rng, n_atoms=24)
+        hyps = _box_hyps()[:n_hyps]
+        risks = []
+
+        class RiskRecorder(_Recorder):
+            def solve(self, stage_oracle, budget):
+                risks.append(stage_oracle.risks(self.hypotheses))
+                return super().solve(stage_oracle, budget)
+
+        recorder = RiskRecorder(hyps, 0.5)
+        fitted = fit_boosted_hypothesis(
+            oracle, recorder, self.box, n_stages=self.n_stages, gamma=0.5,
+            stage_budget=1, lipschitz=20.0)
+        components, predict, lifted, expected_risks = _reference_fit(
+            oracle, hyps, self.box, self.n_stages, 0.5, 20.0)
+        np.testing.assert_array_equal(risks, expected_risks)
+        np.testing.assert_array_equal(
+            [[lin.direction for lin, _, _ in support] for support in recorder.lifted],
+            lifted)
+        contexts = ([c for _, c, _ in oracle.support()]
+                    + list(rng.standard_normal((16, 2))))
+        np.testing.assert_array_equal([fitted(c) for c in contexts],
+                                      [predict(c) for c in contexts])
+        assert fitted.to_dict() == BoostedHypothesis(
+            components, fitted.set_c, fitted.offset).to_dict()
+
+    def test_each_hypothesis_called_once_per_atom(self, rng):
+        oracle = _box_oracle(rng, n_atoms=10)
+        calls = {}
+
+        def counted(h):
+            def call(context):
+                calls[h.name] = calls.get(h.name, 0) + 1
+                return h(context)
+            return call
+
+        wopt = ErmWeakOptimizer([counted(h) for h in _box_hyps()], 0.5, exact=True)
+        fit_boosted_hypothesis(oracle, wopt, self.box, n_stages=self.n_stages,
+                               gamma=0.5, stage_budget=1, lipschitz=20.0)
+        assert calls == {h.name: 10 for h in _box_hyps()}
+
+    def test_mixed_atoms_lift_to_one_point_gradients(self, rng):
+        centre = np.array([0.3, -0.2, 0.4])
+        atoms = [(LinearLoss([1.0, -2.0, 0.5]), rng.standard_normal(2)),
+                 (QuadraticLoss([2.0, 0.5, -1.0], weight=0.7), rng.standard_normal(2)),
+                 (CallableLoss(lambda x: float(np.sum(np.cosh(x - centre))),
+                               lambda x: np.sinh(x - centre), curvature_hint=3.0),
+                  rng.standard_normal(2)),
+                 (ScaledLoss(LinearLoss([-0.5, 0.1, 1.0]), 2.0), rng.standard_normal(2)),
+                 (QuadraticLoss([-1.5, 1.0, 0.2]), rng.standard_normal(2))]
+        oracle = FiniteSupportOracle(atoms, probs=rng.dirichlet(np.ones(5)))
+        recorder = _Recorder(_box_hyps(), 0.5)
+        fitted = fit_boosted_hypothesis(oracle, recorder, self.box,
+                                        n_stages=self.n_stages, gamma=0.5,
+                                        stage_budget=1, lipschitz=20.0)
+        components, predict, lifted, _ = _reference_fit(
+            oracle, _box_hyps(), self.box, self.n_stages, 0.5, 20.0)
+        for support, directions in zip(recorder.lifted, lifted):
+            np.testing.assert_array_equal([lin.direction for lin, _, _ in support],
+                                          directions)
+        for _, c in atoms:
+            np.testing.assert_array_equal(fitted(c), predict(c))
+
+    def test_fit_leaves_callers_objects_as_they_were(self, rng):
+        oracle = _box_oracle(rng)
+        wopt = ErmWeakOptimizer(_box_hyps(), 0.5, exact=True)
+        before = [{k: id(v) for k, v in vars(o).items()} for o in (oracle, wopt)]
+        fit_boosted_hypothesis(oracle, wopt, self.box, n_stages=self.n_stages,
+                               gamma=0.5, stage_budget=1, lipschitz=20.0)
+        assert [{k: id(v) for k, v in vars(o).items()} for o in (oracle, wopt)] == before
 
 
 class TestPopulationLoss:
