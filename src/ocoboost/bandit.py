@@ -20,7 +20,7 @@ import numpy as np
 
 from .booster import BoosterConfig, OnlineBooster, RoundTrajectory
 from .errors import ConfigError, NonFiniteInput, ProtocolError
-from .geometry import DecisionSet, as_point
+from .geometry import DecisionSet, as_point, row_norms
 from .losses import LinearLoss
 
 logger = logging.getLogger(__name__)
@@ -69,13 +69,14 @@ def resolve_explore_rate(explore_rate, d: int, horizon: int | None,
 
 def verify_simplex_containment(set_: DecisionSet) -> None:
     """Require every coordinate basis vector to project to itself."""
-    for i in range(set_.dim):
-        e = np.zeros(set_.dim)
-        e[i] = 1.0
-        if set_.distance(e) > SIMPLEX_CONTAINMENT_TOL:
-            raise ConfigError(
-                f"decision set does not contain the unit simplex: basis "
-                f"vector {i} is at distance {set_.distance(e):.3e}")
+    basis = np.eye(set_.dim)
+    gaps = row_norms(basis - set_._project(basis))
+    far = np.flatnonzero(~(gaps <= SIMPLEX_CONTAINMENT_TOL))
+    if far.size:
+        i = int(far[0])
+        raise ConfigError(
+            f"decision set does not contain the unit simplex: basis "
+            f"vector {i} is at distance {gaps[i]:.3e}")
 
 
 class BanditBooster:

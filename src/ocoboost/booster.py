@@ -19,6 +19,7 @@ from .errors import ConfigError, NonFiniteInput, ProtocolError
 from .extension import ExtendedLoss, default_delta
 from .geometry import DecisionSet, as_point, row_norms
 from .losses import ConvexLoss, ShiftedLoss
+from .weak import LeaderBank, LearnerList
 
 
 def step_sizes(n: int) -> list[float]:
@@ -100,6 +101,9 @@ class OnlineBooster:
         self.etas = step_sizes(config.n_learners)
         self.learners = [learner_factory(i, self.set_c)
                          for i in range(config.n_learners)]
+        # a round drives every learner through one bank object
+        self.bank = (LeaderBank(self.learners) if LeaderBank.admits(self.learners)
+                     else LearnerList(self.learners, self.set_c.dim))
 
         self.delta, self.kappa = config.smoothing(set_.diameter)
         self.rounds_done = 0
@@ -113,20 +117,15 @@ class OnlineBooster:
 
     def predict(self, context) -> tuple[np.ndarray, RoundTrajectory]:
         context = as_point(context, name="context")
+        plays = self.bank.predict_all(context)
+        if not math.isfinite(np.vdot(plays, plays)):
+            slot = int(np.flatnonzero(~np.isfinite(np.vecdot(plays, plays)))[0])
+            raise NonFiniteInput(f"learner {slot} played a non-finite point")
         n, d = self.n_learners, self.set_c.dim
         stages = np.empty((n + 1, d))
         stages[0] = 0.0  # the centroid, in recentered coordinates
-        for i in range(n):
-            # learner i's play, written into stage i + 1 and mixed there
-            stages[i + 1] = self.learners[i].predict(context)
-            eta = self.etas[i]
-            stages[i + 1] = ((1.0 - eta) * stages[i]
-                             + (eta / self.gamma) * stages[i + 1])
-        if not math.isfinite(np.vdot(stages[n], stages[n])):
-            # 0 * NaN and 0 * inf are NaN, so a non-finite play reaches the
-            # final stage point; name the first learner whose play did
-            slot = int(np.flatnonzero(~np.isfinite(np.vecdot(stages, stages)))[0]) - 1
-            raise NonFiniteInput(f"learner {slot} played a non-finite point")
+        for i, eta in enumerate(self.etas):
+            stages[i + 1] = (1.0 - eta) * stages[i] + (eta / self.gamma) * plays[i]
         played_c = self.set_c._project(stages[n])
         traj = RoundTrajectory(stages=stages, played=played_c + self.offset)
         self._last_traj = traj
@@ -146,8 +145,7 @@ class OnlineBooster:
         self.max_grad_norm = max(self.max_grad_norm, float(row_norms(grads).max()))
         self.prox_nonconverged += info.nonconverged
         self.prox_worst_residual = max(self.prox_worst_residual, info.residual)
-        for learner, g in zip(self.learners, grads):
-            learner.update(g)
+        self.bank.update_all(grads)
 
         self.realized_loss += loss.value(trajectory.played)
         self.rounds_done += 1

@@ -18,7 +18,9 @@ directly has no equilibrium, so parameters saturate and the boosted
 feedback loop destabilizes; the regression form is self-stabilizing.
 ``ScaledLeaderOracle`` is the exact-edge learner the test suite uses: it
 tracks a finite hypothesis class on the raw linear losses and plays gamma
-times the leader (or a hedged mixture).
+times the leader (or a hedged mixture). A booster runs N leader oracles
+with one set of settings as one ``LeaderBank``, and any other learners
+through a ``LearnerList``, one call at a time.
 """
 
 from __future__ import annotations
@@ -119,23 +121,111 @@ class ScaledLeaderOracle(WeakLearner):
 
     def predict(self, context) -> np.ndarray:
         self._remember(context)
-        # hypotheses are trusted callables returning length-d vectors
-        actions = np.stack([h(context) for h in self.hypotheses])
-        self._last_actions = actions
-        if self.mode == "ftl":
-            leader = int(np.argmin(self.cum_losses))
-            return self.gamma * actions[leader]
-        t = self.rounds + 1
-        eta = np.sqrt(8.0 * np.log(len(self.hypotheses)) / t)
-        z = -eta * self.cum_losses / (2.0 * self.scale)
-        z -= z.max()
-        w = np.exp(z)
-        w /= w.sum()
-        return self.gamma * (w @ actions)
+        self._last_actions = _hypothesis_actions(self.hypotheses, context)
+        return _leader_plays(self.cum_losses[None], self._last_actions, self.gamma,
+                             self.mode, self.scale, self.rounds)[0]
 
     def _apply_update(self, context, g):
-        self.cum_losses += self._last_actions @ g
+        _add_leader_losses(self.cum_losses[None], self._last_actions, g[None])
         self._last_actions = None
+
+
+def _hypothesis_actions(hypotheses, context) -> np.ndarray:
+    # hypotheses are trusted callables returning length-d vectors
+    return np.stack([h(context) for h in hypotheses])
+
+
+def _leader_plays(cum, actions, gamma, mode, scale, rounds) -> np.ndarray:
+    """The (n, d) plays of n leader oracles with cumulative losses ``cum``
+    (n, J), whose hypotheses' actions this round are the rows of
+    ``actions`` (J, d): gamma times each row's leader or hedged mixture."""
+    if mode == "ftl":
+        return gamma * actions[cum.argmin(axis=1)]
+    eta = np.sqrt(8.0 * np.log(len(actions)) / (rounds + 1))
+    z = -eta * cum / (2.0 * scale)
+    z -= z.max(axis=1, keepdims=True)
+    w = np.exp(z)
+    w /= w.sum(axis=1, keepdims=True)
+    return gamma * (w[:, None, :] @ actions[None])[:, 0, :]
+
+
+def _add_leader_losses(cum, actions, G) -> None:
+    """``cum[i] += actions @ G[i]`` for every row i, in place. The stacked
+    matmul sums each row as the one-row product does; ``einsum``,
+    ``G @ actions.T`` and ``vecdot`` can differ in the last bit, which
+    flips exact FTL ties."""
+    cum += (actions[None] @ G[:, :, None])[..., 0]
+
+
+class LeaderBank:
+    """N ``ScaledLeaderOracle``s that share their hypotheses, gamma, mode,
+    scale and round count, run as one (N, J) table of cumulative losses.
+
+    A round calls each hypothesis once, then takes every learner's play
+    and every learner's loss update as one array step each, with the bits
+    of the learners' own ``predict`` and ``update``. Each learner's
+    ``cum_losses`` is a row view of the table and its ``rounds`` advances,
+    so the learners stay truthful.
+    """
+
+    def __init__(self, learners):
+        first = learners[0]
+        self.learners = learners
+        self.hypotheses = first.hypotheses
+        self.gamma, self.mode, self.scale = first.gamma, first.mode, first.scale
+        self.cum_losses = np.array([learner.cum_losses for learner in learners])
+        for learner, row in zip(learners, self.cum_losses):
+            learner.cum_losses = row
+        self._actions = None
+
+    @staticmethod
+    def admits(learners) -> bool:
+        """Whether every learner is a plain ``ScaledLeaderOracle`` (neither
+        subclassed nor with ``predict`` or ``update`` replaced on the
+        instance) with the first one's settings."""
+        first = learners[0]
+        if type(first) is not ScaledLeaderOracle:
+            return False
+        settings = (first.gamma, first.mode, first.scale, first.rounds)
+        return all(type(learner) is ScaledLeaderOracle
+                   and "predict" not in vars(learner)
+                   and "update" not in vars(learner)
+                   and learner.hypotheses == first.hypotheses
+                   and (learner.gamma, learner.mode, learner.scale,
+                        learner.rounds) == settings
+                   for learner in learners)
+
+    def predict_all(self, context) -> np.ndarray:
+        self._actions = _hypothesis_actions(self.hypotheses, context)
+        return _leader_plays(self.cum_losses, self._actions, self.gamma,
+                             self.mode, self.scale, self.learners[0].rounds)
+
+    def update_all(self, G) -> None:
+        """Feed row i of the (N, d) gradients to learner i."""
+        if self._actions is None:
+            raise ProtocolError("update without a preceding predict")
+        _add_leader_losses(self.cum_losses, self._actions, G)
+        self._actions = None
+        for learner in self.learners:
+            learner.rounds += 1
+
+
+class LearnerList:
+    """Any weak learners behind the bank interface, called one at a time."""
+
+    def __init__(self, learners, dim: int):
+        self.learners = learners
+        self.dim = dim
+
+    def predict_all(self, context) -> np.ndarray:
+        plays = np.empty((len(self.learners), self.dim))
+        for i, learner in enumerate(self.learners):
+            plays[i] = learner.predict(context)
+        return plays
+
+    def update_all(self, G) -> None:
+        for learner, g in zip(self.learners, G):
+            learner.update(g)
 
 
 class DecisionStump(WeakLearner):

@@ -53,6 +53,14 @@ class TestContainment:
         with pytest.raises(ConfigError):
             verify_simplex_containment(Ball(3, 0.5))
 
+    @pytest.mark.parametrize("set_, vertex", [
+        (Simplex(4, total=0.5), 0), (Box([0.0, 0.0], [2.0, 0.5]), 1)])
+    def test_missed_vertex_is_named(self, set_, vertex):
+        # the first basis vector outside the set, and its distance to it
+        with pytest.raises(ConfigError, match=f"basis vector {vertex} is at "
+                                              r"distance 5\.000e-01"):
+            verify_simplex_containment(set_)
+
     def test_constructor_checks(self):
         cfg = BoosterConfig(n_learners=1, gamma=0.5, lipschitz=1.0)
         with pytest.raises(ConfigError):

@@ -30,3 +30,23 @@ def test_every_workload_plays_a_correct_pass(workloads, tmp_path):
         w = workload(0, tmp_path / name)
         played = w.play(w.setup())
         assert played.failed == 0 and not played.problems, (name, played.problems)
+
+
+def test_bandit_workload_banks_and_plays_the_traced_points(workloads, tmp_path):
+    """The untraced bandit pass runs its 64 leader oracles as one bank; the
+    traced pass wraps each learner, so it runs them one at a time. Both must
+    be correct and play the same points."""
+    from ocoboost.weak import LeaderBank, LearnerList
+    from tracing import Tracer
+
+    w = workloads.WORKLOADS["bandit-simplex-n64"](0, tmp_path)
+    bandit = w.setup()
+    assert isinstance(bandit.inner.bank, LeaderBank)
+    untraced = w.play(bandit)
+    tracer = Tracer()
+    bandit = w.setup(tracer)
+    assert isinstance(bandit.inner.bank, LearnerList)
+    traced = w.play(bandit, tracer)
+    for played in (untraced, traced):
+        assert played.failed == 0 and not played.problems, played.problems
+    assert untraced.digest == traced.digest
