@@ -14,16 +14,12 @@ constructively at construction by projecting every basis vector.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .booster import BoosterConfig, OnlineBooster, RoundTrajectory
 from .errors import ConfigError, NonFiniteInput, ProtocolError
 from .geometry import DecisionSet, as_point, row_norms
 from .losses import LinearLoss
-
-logger = logging.getLogger(__name__)
 
 SIMPLEX_CONTAINMENT_TOL = 1e-9
 
@@ -95,10 +91,9 @@ class BanditBooster:
             inner_config.gamma, weak_regret_bound)
         self.inner = OnlineBooster(set_, learner_factory, inner_config)
 
-        streams = np.random.SeedSequence(seed).spawn(3)
+        streams = np.random.SeedSequence(seed).spawn(2)
         self._bernoulli_rng = np.random.default_rng(streams[0])
         self._coordinate_rng = np.random.default_rng(streams[1])
-        self._arm_rng = np.random.default_rng(streams[2])
 
         self.rounds_done = 0
         self.explored_rounds = 0
@@ -136,18 +131,3 @@ class BanditBooster:
         self.explored_rounds += explored
         self.rounds_done += 1
         self._pending = None
-
-    def sample_arm(self, context) -> tuple[int, np.ndarray]:
-        """Multi-armed specialization: sample an arm from the played point,
-        which lies on the probability simplex. Returns (arm, played point)."""
-        point = self.step(context)
-        probs = point
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            logger.info("renormalizing arm distribution (sum=%.3e, min=%.3e)",
-                        probs.sum(), probs.min())
-            probs = np.maximum(probs, 0.0)
-            total = probs.sum()
-            probs = probs / total if total > 0 else np.full(self.dim, 1.0 / self.dim)
-        arm = int(self._arm_rng.choice(self.dim, p=probs))
-        return arm, point
-

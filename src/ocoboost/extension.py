@@ -12,8 +12,8 @@ and isotropic quadratic losses (also shifted or scaled) over any set: both
 reduce to one analytic shrink toward the projection. ``losses.closed_form``
 reads which form a loss has, once per extension. Any other loss runs a
 proximal-gradient splitting whose nonsmooth step (the distance penalty) is
-that same shrink. ``ExtendedLoss.rows`` stacks the closed forms of many
-losses, one per row, so that one shrink lifts them all.
+that same shrink. ``ExtendedLoss.lift`` stacks the forms of many losses as
+arrays, one loss per row, so that one shrink lifts them all.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .geometry import DecisionSet, as_point, row_norms
-from .losses import ConvexLoss, closed_form
+from .losses import ConvexLoss, ShiftedLoss, closed_form
 
 # iteration budget and residual tolerance of the iterative prox
 PROX_BUDGET = 200
@@ -125,54 +125,48 @@ def _prox_iterative(loss, set_, kappa, delta, x, budget, tol):
 class ExtendedLoss:
     """Smoothed extension of a convex loss beyond its decision set."""
 
-    def __init__(self, base: ConvexLoss, set_: DecisionSet, delta: float,
-                 kappa: float):
+    def __init__(self, base, set_: DecisionSet, delta: float, kappa: float):
         if not 0.0 < delta < math.inf:
             raise ConfigError(f"delta must be positive and finite, got {delta}")
         if not 0.0 <= kappa < math.inf:
             raise ConfigError(f"kappa must be nonnegative and finite, got {kappa}")
-        self.base = base
+        self.base = None if isinstance(base, tuple) else base  # a form from lift
         self.set_ = set_
         self.delta = float(delta)
         self.kappa = float(kappa)
-        self._weight, self._target, self._direction = (closed_form(base)
-                                                       or (None, None, None))
+        self._weight, self._target, self._direction = (
+            base if self.base is None else closed_form(base) or (None, None, None))
 
     @classmethod
-    def rows(cls, losses, set_: DecisionSet, delta: float, kappa: float):
-        """Extensions of ``losses``, one row each, as [(row indices,
-        extension)]. At an (n, d) array, an extension's gradient at the rows
-        it owns equals, row for row and bit for bit, the one-point gradient
-        of ``ExtendedLoss(losses[k], ...)``. The quadratic rows share one
-        extension with (m, 1) weights and (m, d) targets, the linear rows one
-        with (m, d) directions; any other loss is extended alone. A shared
-        extension only takes gradients: its ``base`` is None."""
+    def lift(cls, losses, offset, set_: DecisionSet, delta: float, kappa: float):
+        """Extensions of ``losses`` recentered by ``offset``, one row each, as
+        [(row indices, extension)]. At an (n, d) array, an extension's
+        gradient at the rows it owns equals, row for row and bit for bit, the
+        one-point gradient of ``ExtendedLoss(ShiftedLoss(losses[k], offset),
+        ...)``. Each closed form is read once: the quadratic rows share one
+        extension of (m, 1) weights and (m, d) targets, the linear rows one of
+        (m, d) directions, and such an extension only takes gradients. Any
+        other loss is extended alone, in a ShiftedLoss for a nonzero offset."""
         n, dim = len(losses), set_.dim
-        weights, targets = np.empty((n, 1)), np.empty((n, dim))
-        directions = np.empty((n, dim))
+        weights, vectors = np.empty((n, 1)), np.empty((n, dim))  # targets or directions
         quadratic, linear, extensions = [], [], []
         for k, loss in enumerate(losses):
             form = closed_form(loss)
             if form is None:
+                loss = ShiftedLoss(loss, offset) if np.any(offset) else loss
                 extensions.append((np.array([k]), cls(loss, set_, delta, kappa)))
-            elif form[2] is None:
-                quadratic.append(k)
-                weights[k], targets[k] = form[0], form[1]
-            else:
-                linear.append(k)
-                directions[k] = form[2]
-
-        def shared(rows, weight, target, direction):
-            ext = cls(losses[rows[0]], set_, delta, kappa)  # checks delta and kappa
-            ext.base = None
-            ext._weight, ext._target, ext._direction = weight, target, direction
-            return np.array(rows), ext
-
+                continue
+            vector = form[1] if form[2] is None else form[2]
+            if vector.shape != (dim,):
+                raise DimensionMismatch("loss and set dimensions differ")
+            (quadratic if form[2] is None else linear).append(k)
+            weights[k], vectors[k] = form[0], vector
         if quadratic:
-            extensions.append(shared(quadratic, weights[quadratic],
-                                     targets[quadratic], None))
+            form = weights[quadratic], vectors[quadratic] - offset, None
+            extensions.append((np.array(quadratic), cls(form, set_, delta, kappa)))
         if linear:
-            extensions.append(shared(linear, 0.0, None, directions[linear]))
+            form = 0.0, None, vectors[linear]
+            extensions.append((np.array(linear), cls(form, set_, delta, kappa)))
         return extensions
 
     def _prox(self, x: np.ndarray):

@@ -23,7 +23,7 @@ from .booster import BoosterConfig, step_sizes
 from .errors import ConfigError, NonFiniteInput, StageError
 from .extension import ExtendedLoss
 from .geometry import DecisionSet, as_point
-from .losses import LinearLoss, ShiftedLoss
+from .losses import LinearLoss
 
 
 class SampleOracle:
@@ -108,20 +108,17 @@ class _StageOracle(SampleOracle):
         losses, self.contexts, probs = zip(*support)
         del support  # its (loss, context, p) tuples are not needed again
         self.probs = np.array(probs, dtype=np.float64)
-        self.extensions = ExtendedLoss.rows(
-            [self._recentered(loss) for loss in losses], set_c, delta, kappa)
+        self.extensions = ExtendedLoss.lift(losses, offset, set_c, delta, kappa)
         self.points = np.zeros((len(self.contexts), set_c.dim))  # (K, d)
         self._grads = None  # (K, d) gradients at the points, once read
         self._tabled = []  # the hypotheses whose values fill the table
         self._values = None  # (K, J, d) values at the atom contexts
 
-    def _recentered(self, loss):
-        return loss if not np.any(self.offset) else ShiftedLoss(loss, self.offset)
-
     def draw(self):
         loss, context = self.base.draw()
-        ext = ExtendedLoss(self._recentered(loss), self.set_c, self.delta, self.kappa)
-        return LinearLoss(ext.grad(self.prev(context))), context
+        [(_, ext)] = ExtendedLoss.lift([loss], self.offset, self.set_c,
+                                       self.delta, self.kappa)
+        return LinearLoss(ext.grad(self.prev(context)[None])[0]), context
 
     def gradients(self) -> np.ndarray:
         """(K, d) extension gradients of the atoms at their stage points."""
@@ -281,12 +278,6 @@ class ErmWeakOptimizer:
         base = self.hypotheses[best]
         name = f"erm[{best}]"
         return ScaledHypothesis(base, self.gamma, name=name)
-
-    def epsilon(self, budget: int, scale: float = 1.0) -> float:
-        """Optimization slack as a function of the sample budget."""
-        if self.exact:
-            return 0.0
-        return float(scale * np.sqrt(2.0 * np.log(len(self.hypotheses)) / budget))
 
 
 def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionSet,

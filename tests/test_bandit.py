@@ -176,24 +176,6 @@ class TestStepFeedback:
 
 
 class TestArmSampling:
-    def test_basis_point_gives_deterministic_arm(self):
-        bb = _make_bandit(dim=4, explore_rate=1.0, seed=5)
-        for t in range(50):
-            arm, point = bb.sample_arm([float(t)])
-            assert point[arm] == pytest.approx(1.0)
-            bb.feedback(0.3)
-
-    def test_uniform_point_gives_uniform_arms(self):
-        bb = _make_bandit(dim=4, explore_rate=0.0, seed=6)
-        counts = np.zeros(4)
-        for t in range(10000):
-            arm, point = bb.sample_arm([float(t)])
-            np.testing.assert_allclose(point, 0.25)
-            counts[arm] += 1
-            bb.feedback(0.3)
-        sigma = np.sqrt(10000 * 0.25 * 0.75)
-        assert np.all(np.abs(counts - 2500) <= 3 * sigma)
-
     def test_expected_arm_loss_equals_linear_value(self, rng):
         # enumeration over the categorical distribution
         point = np.array([0.1, 0.4, 0.2, 0.3])

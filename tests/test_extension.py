@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ocoboost.errors import ConfigError
+from ocoboost.errors import ConfigError, DimensionMismatch
 from ocoboost.extension import (ExtendedLoss, _prox_iterative,
                                 _shrink_toward_projection, default_delta, prox)
 from ocoboost.geometry import Ball, Box, Interval, ShiftedSet, Simplex
@@ -230,8 +230,9 @@ class TestRows:
 
     @pytest.mark.parametrize("name", sorted(row_sets()))
     def test_per_row_losses_match_points(self, rng, name):
-        # row k of ExtendedLoss.rows is losses[k]'s one-point gradient,
-        # whether it shares a closed form with other rows or not
+        # row k of ExtendedLoss.lift is the one-point gradient of losses[k]
+        # recentred by the offset, whether it shares a closed form with
+        # other rows or not
         set_ = row_sets()[name]
         d = set_.dim
         quad = QuadraticLoss(rng.uniform(-1, 1, size=d), weight=0.8)
@@ -240,13 +241,22 @@ class TestRows:
                   ScaledLoss(ShiftedLoss(quad, rng.uniform(-1, 1, size=d)), 1.7),
                   CallableLoss(quad.value, quad.grad, curvature_hint=1.6)]
         losses = [losses[k % len(losses)] for k in range(cases.shape[0])]
-        extensions = ExtendedLoss.rows(losses, set_, delta=0.4, kappa=1.5)
-        assert sorted(k for rows, _ in extensions for k in rows) \
-            == list(range(len(losses)))
-        for rows, ext in extensions:
-            for k, g in zip(rows, ext.grad_with_info(cases[rows])[0]):
-                one = ExtendedLoss(losses[k], set_, delta=0.4, kappa=1.5)
-                assert np.array_equal(g, one.grad(cases[k]))
+        for offset in (np.zeros(d), rng.uniform(-1, 1, size=d)):
+            extensions = ExtendedLoss.lift(losses, offset, set_, delta=0.4,
+                                           kappa=1.5)
+            assert sorted(k for rows, _ in extensions for k in rows) \
+                == list(range(len(losses)))
+            for rows, ext in extensions:
+                for k, g in zip(rows, ext.grad_with_info(cases[rows])[0]):
+                    one = ExtendedLoss(ShiftedLoss(losses[k], offset), set_,
+                                       delta=0.4, kappa=1.5)
+                    assert np.array_equal(g, one.grad(cases[k]))
+
+    def test_lift_rejects_a_loss_of_another_dimension(self):
+        box = Box([-1.0, -1.0], [1.0, 1.0])
+        for loss in (QuadraticLoss([0.5]), LinearLoss([1.0, 2.0, 3.0])):
+            with pytest.raises(DimensionMismatch):
+                ExtendedLoss.lift([loss], np.zeros(2), box, delta=0.4, kappa=1.5)
 
     def test_iterative_rows_match_points(self, rng):
         # no closed form: each row is solved on its own, and the batch's

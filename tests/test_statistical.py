@@ -58,17 +58,12 @@ class TestErmWeakOptimizer:
         vals = [exact_population_loss(h, oracle) for h in hyps]
         best = hyps[int(np.argmin(vals))]
         np.testing.assert_allclose(learned(np.zeros(1)), best(np.zeros(1)))
-        assert wopt.epsilon(10) == 0.0
 
     def test_gamma_scaling(self):
         hyps = _constant_hyps([0.8])
         wopt = ErmWeakOptimizer(hyps, gamma=0.5, exact=True)
         learned = wopt.solve(_two_point_oracle(), budget=1)
         assert learned(np.zeros(1))[0] == pytest.approx(0.4)
-
-    def test_sampled_mode_epsilon_decays(self):
-        wopt = ErmWeakOptimizer(_constant_hyps([0.0, 1.0]), gamma=1.0)
-        assert wopt.epsilon(400) < wopt.epsilon(100)
 
 
 class TestFit:
