@@ -100,18 +100,15 @@ def _cmd_synth(args) -> int:
             rows.append([n, f"{np.mean(regrets):.3f}", f"{outs[0]['bound']:.3f}"])
     elif args.scenario == "bandit":
         horizon = args.horizon or 4000
-        n = (args.n or (16,))[0]
-        regrets = []
-        rates = []
-        for s in range(args.seeds):
-            out = synth.bandit_scenario(horizon, n_learners=n,
-                                        gamma=args.gamma,
-                                        explore_rate=args.explore_rate,
-                                        seed=args.seed + s)
-            regrets.append(out["regrets"][horizon])
-            rates.append(out["explore_rate"])
-        headers = ["T", "N", "explore_rate", "mean_regret"]
-        rows = [[horizon, n, f"{rates[0]:.4f}", f"{np.mean(regrets):.3f}"]]
+        headers, rows = ["T", "N", "explore_rate", "mean_regret"], []
+        for n in args.n or (16,):
+            outs = [synth.bandit_scenario(horizon, n_learners=n, gamma=args.gamma,
+                                          explore_rate=args.explore_rate,
+                                          seed=args.seed + s)
+                    for s in range(args.seeds)]
+            regrets = [o["regrets"][horizon] for o in outs]
+            rows.append([horizon, n, f"{outs[0]['explore_rate']:.4f}",
+                         f"{np.mean(regrets):.3f}"])
     else:
         n_values = args.n or (16, 64, 256)
         headers, rows = ["N", "gap", "bound"], []

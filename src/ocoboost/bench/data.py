@@ -57,14 +57,14 @@ class Dataset:
         """Range of the standardized targets."""
         return float(self.targets.min()), float(self.targets.max())
 
-    def validate(self, tol: float = 1e-9) -> None:
-        """Check the standardization invariants on the full pass."""
+    def validate(self) -> None:
+        """Check the standardization invariants on the full pass, to 1e-9."""
         cols = [j for j in range(self.n_features) if j not in self.guarded_columns]
         if cols:
             sub = self.features[:, cols]
             mean_err = np.max(np.abs(sub.mean(axis=0)))
             std_err = np.max(np.abs(sub.std(axis=0) - 1.0))
-            if mean_err > tol or std_err > tol:
+            if mean_err > 1e-9 or std_err > 1e-9:
                 raise DataError(
                     f"standardization invariant violated: mean err {mean_err:.2e}, "
                     f"std err {std_err:.2e}")

@@ -5,7 +5,7 @@ Three deterministic, seed-driven environments:
 * ``oco``  — contextual linear losses on the unit ball in R^2 with four
   linear reference policies; exact-edge leader oracles as weak learners.
 * ``bandit`` — contextual multi-armed losses on the 4-simplex with value-only
-  feedback; the played loss and comparator are tracked at checkpoints.
+  feedback; regret is the played loss less the best policy's at the horizon.
 * ``sco``  — a four-atom distribution of 1-D square losses with three
   constant reference hypotheses and an exact ERM weak optimizer.
 
@@ -30,7 +30,9 @@ from ..weak import ScaledLeaderOracle
 
 OCO_DIM = 2
 OCO_N_HYPOTHESES = 4
+OCO_NOISE = 0.5  # scale of the Gaussian noise on the oco loss directions
 BANDIT_ARMS = 4
+BANDIT_NOISE = 0.05  # scale of the Gaussian noise on the bandit arm losses
 
 
 def _rotation(scale: float, angle: float) -> np.ndarray:
@@ -47,7 +49,7 @@ _OCO_MATRICES = [
 
 
 def oco_scenario(n_learners: int, horizon: int = 5000, gamma: float = 0.5,
-                 seed: int = 0, noise: float = 0.5) -> dict:
+                 seed: int = 0) -> dict:
     """One full-information run; returns the measured regret against the
     convex hull of the reference policies (``comparator`` is the hull's
     cumulative loss) plus the matching bound pieces."""
@@ -59,7 +61,7 @@ def oco_scenario(n_learners: int, horizon: int = 5000, gamma: float = 0.5,
     actions = np.stack([ball._project(contexts @ m.T)
                         for m in _OCO_MATRICES])  # (J, T, 2)
 
-    raw = -actions[0] + noise * rng.standard_normal((horizon, OCO_DIM))
+    raw = -actions[0] + OCO_NOISE * rng.standard_normal((horizon, OCO_DIM))
     norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
     directions = raw / norms  # unit vectors: G = 1
 
@@ -107,24 +109,18 @@ def _bandit_policies():
 
 
 def bandit_scenario(horizon: int, n_learners: int = 16, gamma: float = 0.5,
-                    explore_rate="auto", seed: int = 0, noise: float = 0.05,
-                    checkpoints=None) -> dict:
+                    explore_rate="auto", seed: int = 0) -> dict:
     """One bandit run on the 4-simplex with value-only feedback.
 
-    Returns per-checkpoint regret of the played points against the best
-    single reference policy (the hull optimum for linear losses).
+    Returns ``regrets`` as {horizon: regret}: the regret of the played
+    points against the best single reference policy (the hull optimum for
+    linear losses).
     """
-    if checkpoints is None:
-        checkpoints = (horizon,)
-    checkpoints = tuple(sorted(checkpoints))
-    if checkpoints[-1] != horizon:
-        raise ValueError("last checkpoint must equal the horizon")
-
     env_rng = np.random.default_rng(np.random.SeedSequence([10_000_019, seed]))
     types = env_rng.integers(0, 4, size=horizon)
     base = np.full((4, BANDIT_ARMS), 0.95)
     base[np.arange(4), _BANDIT_BEST_ARM] = 0.05
-    losses = np.clip(base[types] + noise * env_rng.standard_normal(
+    losses = np.clip(base[types] + BANDIT_NOISE * env_rng.standard_normal(
         (horizon, BANDIT_ARMS)), 0.0, 1.0)  # (T, d)
 
     policies = _bandit_policies()
@@ -151,24 +147,18 @@ def bandit_scenario(horizon: int, n_learners: int = 16, gamma: float = 0.5,
 
     inner_cfg = BoosterConfig(n_learners=n_learners, gamma=gamma,
                               lipschitz=estimate_bound)
-    bb = BanditBooster(simplex, factory, inner_cfg, explore_rate=rate,
-                       seed=seed, horizon=horizon)
+    bb = BanditBooster(simplex, factory, inner_cfg, explore_rate=rate, seed=seed)
 
     comparator = np.einsum("td,jtd->jt", losses, policy_points)  # (J, T)
     comparator_cum = np.cumsum(comparator, axis=1)
 
     played_cum = 0.0
-    regrets = {}
-    check_idx = 0
     for t in range(horizon):
         played = bb.step(np.array([float(t)]))
         observed = float(losses[t] @ played)
         bb.feedback(observed)
         played_cum += observed
-        if t + 1 == checkpoints[check_idx]:
-            best = float(comparator_cum[:, t].min())
-            regrets[checkpoints[check_idx]] = played_cum - best
-            check_idx += 1
+    regrets = {horizon: played_cum - float(comparator_cum[:, -1].min())}
     return {
         "horizon": horizon, "n_learners": n_learners, "gamma": gamma,
         "seed": seed, "explore_rate": float(rate),

@@ -29,46 +29,36 @@ def step_sizes(n: int) -> list[float]:
 
 @dataclass
 class BoosterConfig:
-    """Knobs for one boosting run, and the one place they are checked.
+    """The settings of one boosting run, and the one place they are checked.
 
     ``lipschitz`` is the gradient bound G over the working region (the
-    recentered set scaled by 1/gamma); it seeds the default smoothing
-    radius and the default distance-penalty weight kappa = G. It may be
-    omitted only when both delta and kappa are given explicitly.
+    recentered set scaled by 1/gamma). The booster derives its smoothing
+    radius delta = ``default_delta`` and its distance-penalty weight
+    kappa = G from it.
     """
 
     n_learners: int
     gamma: float
-    lipschitz: float | None = None
-    delta: float | None = None
-    kappa: float | None = None
+    lipschitz: float
 
     def __post_init__(self):
         if self.n_learners < 1:
             raise ConfigError("n_learners must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must be in (0, 1]")
-        if self.delta is not None and not 0 < self.delta < math.inf:
-            raise ConfigError(f"delta must be positive and finite, got {self.delta}")
-        if self.kappa is not None and not 0 <= self.kappa < math.inf:
-            raise ConfigError(f"kappa must be nonnegative and finite, got {self.kappa}")
-        if self.lipschitz is not None and not 0 < self.lipschitz < math.inf:
+        if not 0 < self.lipschitz < math.inf:
             raise ConfigError("lipschitz must be positive and finite, "
                               f"got {self.lipschitz}")
-        if self.lipschitz is None and (self.delta is None or self.kappa is None):
-            raise ConfigError("need lipschitz unless both delta and kappa are given")
 
     def smoothing(self, diameter: float) -> tuple[float, float]:
-        """(delta, kappa) for a set of this diameter: the given values, else
-        the balanced radius ``default_delta`` and kappa = G."""
-        delta = self.delta
-        if delta is None:
-            delta = default_delta(diameter, self.gamma, self.n_learners,
-                                  self.lipschitz)
+        """(delta, kappa) for a set of this diameter: the balanced radius
+        ``default_delta`` and kappa = G."""
+        delta = default_delta(diameter, self.gamma, self.n_learners,
+                              self.lipschitz)
         if not 0 < delta < math.inf:
             raise ConfigError("smoothing radius must be positive and finite, "
                               f"got {delta} for a set of diameter {diameter}")
-        return delta, (self.kappa if self.kappa is not None else self.lipschitz)
+        return delta, self.lipschitz
 
 
 @dataclass

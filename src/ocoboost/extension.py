@@ -123,7 +123,9 @@ def _prox_iterative(loss, set_, kappa, delta, x, budget, tol):
 
 
 class ExtendedLoss:
-    """Smoothed extension of a convex loss beyond its decision set."""
+    """Smoothed extension of a convex loss beyond its decision set. A
+    closed-form loss of another dimension than the set is refused here,
+    before any gradient is taken."""
 
     def __init__(self, base, set_: DecisionSet, delta: float, kappa: float):
         if not 0.0 < delta < math.inf:
@@ -136,6 +138,9 @@ class ExtendedLoss:
         self.kappa = float(kappa)
         self._weight, self._target, self._direction = (
             base if self.base is None else closed_form(base) or (None, None, None))
+        vector = self._direction if self._target is None else self._target
+        if vector is not None and vector.shape[-1] != set_.dim:
+            raise DimensionMismatch("loss and set dimensions differ")
 
     @classmethod
     def lift(cls, losses, offset, set_: DecisionSet, delta: float, kappa: float):

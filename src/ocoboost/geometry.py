@@ -72,8 +72,8 @@ class DecisionSet:
         d = x - self._project(x)
         return math.sqrt(float(d @ d))
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.distance(x) <= tol
+    def contains(self, x) -> bool:
+        return self.distance(x) <= MEMBERSHIP_TOL
 
     def shift(self, offset) -> "DecisionSet":
         return ShiftedSet(self, as_point(offset, self.dim, "offset"))

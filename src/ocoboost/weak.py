@@ -45,6 +45,7 @@ class WeakLearner:
     """Stateful contextual predictor updated with linear losses."""
 
     gamma: float = 1.0
+    feature_dim: int | None = None  # the context size, where one is required
 
     def __init__(self, set_: DecisionSet):
         self.set_ = set_
@@ -71,7 +72,7 @@ class WeakLearner:
         raise NotImplementedError
 
     def _remember(self, context):
-        self._last_context = as_point(context, name="context")
+        self._last_context = as_point(context, self.feature_dim, "context")
         return self._last_context
 
 
@@ -228,13 +229,21 @@ class LearnerList:
             learner.update(g)
 
 
+STUMP_BINS = 16  # quantile bins per feature of DecisionStump
+STUMP_WARMUP = 50  # rounds DecisionStump buffers before it sets its bins
+RIDGE_L2 = 1e-4  # l2 penalty of OnlineRidge
+MLP_HIDDEN = 1  # hidden units of TinyMlp
+STEP_POWER = 0.25  # OnlineRidge and TinyMlp step at round t: step / t^STEP_POWER
+
+
 class DecisionStump(WeakLearner):
     """Single-feature threshold predictor over quantile bins.
 
-    Thresholds come from a warm-up buffer (quantile bin edges per feature).
-    After warm-up each (feature, bin) cell holds a leaf action; the feature
-    to split on follows the leader by accumulated realized linear loss.
-    During warm-up the stump plays the centroid.
+    Thresholds come from a warm-up buffer of ``STUMP_WARMUP`` rounds: the
+    ``STUMP_BINS - 1`` quantile bin edges of each feature. After warm-up
+    each (feature, bin) cell holds a leaf action; the feature to split on
+    follows the leader by accumulated realized linear loss. During warm-up
+    the stump plays the centroid.
 
     Each cell's internal leaf is the running mean of the targets implied by
     its linear losses, and the stump plays the projection of gamma times
@@ -242,25 +251,19 @@ class DecisionStump(WeakLearner):
     """
 
     def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
-                 bins: int = 16, warmup: int = 50, anchor: str = "self"):
+                 anchor: str = "self"):
         super().__init__(set_)
         if feature_dim < 1:
             raise ConfigError("feature_dim must be >= 1")
-        if bins < 2:
-            raise ConfigError("need at least 2 bins")
-        if warmup < 1:
-            raise ConfigError("warmup must be >= 1")
         if anchor not in ("self", "zero"):
             raise ConfigError(f"unknown anchor '{anchor}'")
         self.feature_dim = int(feature_dim)
         self.gamma = float(gamma)
-        self.bins = int(bins)
-        self.warmup = int(warmup)
         self.anchor = anchor
         self._buffer = []
         self.edges = None
-        self.counts = np.zeros((self.feature_dim, self.bins), dtype=np.int64)
-        self.leaves = np.zeros((self.feature_dim, self.bins, self.action_dim))
+        self.counts = np.zeros((self.feature_dim, STUMP_BINS), dtype=np.int64)
+        self.leaves = np.zeros((self.feature_dim, STUMP_BINS, self.action_dim))
         self.feat_loss = np.zeros(self.feature_dim)
 
     def _bin_index(self, feature: int, value: float) -> int:
@@ -271,9 +274,6 @@ class DecisionStump(WeakLearner):
 
     def predict(self, context) -> np.ndarray:
         c = self._remember(context)
-        if c.shape[0] != self.feature_dim:
-            raise ConfigError(
-                f"context has {c.shape[0]} features, expected {self.feature_dim}")
         if self.edges is None:
             return self.set_.centroid
         j = int(np.argmin(self.feat_loss))
@@ -283,14 +283,14 @@ class DecisionStump(WeakLearner):
     def _apply_update(self, context, g):
         if self.edges is None:
             self._buffer.append((context.copy(), g.copy()))
-            if len(self._buffer) >= self.warmup:
+            if len(self._buffer) >= STUMP_WARMUP:
                 self._finish_warmup()
             return
         self._credit(context, g)
 
     def _finish_warmup(self):
         data = np.stack([c for c, _ in self._buffer])
-        qs = np.arange(1, self.bins) / self.bins
+        qs = np.arange(1, STUMP_BINS) / STUMP_BINS
         self.edges = [np.quantile(data[:, j], qs) for j in range(self.feature_dim)]
         for c, g in self._buffer:
             self._credit(c, g)
@@ -307,31 +307,19 @@ class DecisionStump(WeakLearner):
             self.leaves[j, b] = leaf + (target - leaf) / self.counts[j, b]
 
 
-RIDGE_L2 = 1e-4  # l2 penalty of OnlineRidge
-MLP_HIDDEN = 1  # hidden units of TinyMlp
-
-
-def _step_at(step: float, power: float, rounds: int) -> float:
-    """Inverse-scaling step schedule step / t^power (power=0 for constant)."""
-    if power == 0.0:
-        return step
-    return step / (rounds + 1) ** power
-
-
 class OnlineRidge(WeakLearner):
     """Linear model fit online to the targets implied by its linear losses,
-    with the l2 penalty ``RIDGE_L2`` and an inverse-scaling step schedule
-    (step/t^power)."""
+    with the l2 penalty ``RIDGE_L2`` and the inverse-scaling step schedule
+    step / t^``STEP_POWER``."""
 
     def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
-                 step: float = 0.01, power: float = 0.25, anchor: str = "self"):
+                 step: float = 0.01, anchor: str = "self"):
         super().__init__(set_)
         if anchor not in ("self", "zero"):
             raise ConfigError(f"unknown anchor '{anchor}'")
         self.feature_dim = int(feature_dim)
         self.gamma = float(gamma)
         self.step = float(step)
-        self.power = float(power)
         self.anchor = anchor
         self.weights = np.zeros((self.action_dim, self.feature_dim))
         self.bias = np.zeros(self.action_dim)
@@ -346,7 +334,7 @@ class OnlineRidge(WeakLearner):
     def _apply_update(self, context, g):
         # err = raw - implied target; with anchor "self" the raw cancels
         err = 0.5 * g if self.anchor == "self" else self._raw(context) + 0.5 * g
-        lr = _step_at(self.step, self.power, self.rounds)
+        lr = self.step / (self.rounds + 1) ** STEP_POWER
         self.weights -= lr * (np.outer(err, context) + RIDGE_L2 * self.weights)
         self.bias -= lr * (err + RIDGE_L2 * self.bias)
 
@@ -357,8 +345,7 @@ class TinyMlp(WeakLearner):
     ridge learner."""
 
     def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
-                 step: float = 0.01, seed: int = 0, power: float = 0.25,
-                 anchor: str = "self"):
+                 step: float = 0.01, seed: int = 0, anchor: str = "self"):
         super().__init__(set_)
         if anchor not in ("self", "zero"):
             raise ConfigError(f"unknown anchor '{anchor}'")
@@ -366,7 +353,6 @@ class TinyMlp(WeakLearner):
         self.gamma = float(gamma)
         self.step = float(step)
         self.seed = int(seed)
-        self.power = float(power)
         self.anchor = anchor
         rng = np.random.default_rng(self.seed)
         self.w1 = 0.1 * rng.standard_normal((MLP_HIDDEN, self.feature_dim))
@@ -388,7 +374,7 @@ class TinyMlp(WeakLearner):
     def _apply_update(self, context, g):
         z = self._cache
         err = 0.5 * g if self.anchor == "self" else (self.w2 @ z + self.b2) + 0.5 * g
-        lr = _step_at(self.step, self.power, self.rounds)
+        lr = self.step / (self.rounds + 1) ** STEP_POWER
         gz = (self.w2.T @ err) * (1.0 - z * z)
         self.w2 -= lr * np.outer(err, z)
         self.b2 -= lr * err

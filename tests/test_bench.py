@@ -309,6 +309,15 @@ class TestCli:
             main(["run"])  # missing required --dataset
         assert exc.value.code == 2
 
+    def test_synth_bandit_prints_one_row_per_n(self, capsys):
+        code = main(["synth", "--scenario", "bandit", "--n", "2,3",
+                     "--horizon", "20", "--seeds", "1", "--out", "csv"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "T,N,explore_rate,mean_regret"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["20", "2"],
+                                                               ["20", "3"]]
+
     def test_synth_sco_runs(self, capsys):
         code = main(["synth", "--scenario", "sco", "--n", "4", "--out", "csv"])
         assert code == 0

@@ -9,13 +9,14 @@ import pytest
 from ocoboost import extension
 from ocoboost.bandit import BanditBooster
 from ocoboost.booster import BoosterConfig, OnlineBooster
-from ocoboost.errors import ConfigError, NonFiniteInput, ProtocolError
-from ocoboost.extension import ExtendedLoss
+from ocoboost.errors import (ConfigError, DimensionMismatch, NonFiniteInput,
+                             ProtocolError)
+from ocoboost.extension import ExtendedLoss, default_delta
 from ocoboost.geometry import Ball, Box, CustomSet, Interval, Simplex
 from ocoboost.losses import CallableLoss, LinearLoss, QuadraticLoss
 from ocoboost.testkit import finite_diff_grad, hull_optimum
-from ocoboost.weak import (DecisionStump, ScaledLeaderOracle, UniformBaseline,
-                           WeakLearner)
+from ocoboost.weak import (STUMP_WARMUP, DecisionStump, ScaledLeaderOracle,
+                           UniformBaseline, WeakLearner)
 
 
 class FixedLearner(WeakLearner):
@@ -33,9 +34,8 @@ class FixedLearner(WeakLearner):
         pass
 
 
-def _fixed_booster(set_, points, gamma, **kwargs):
-    cfg = BoosterConfig(n_learners=len(points), gamma=gamma, lipschitz=1.0,
-                        **kwargs)
+def _fixed_booster(set_, points, gamma, lipschitz=1.0):
+    cfg = BoosterConfig(n_learners=len(points), gamma=gamma, lipschitz=lipschitz)
     return OnlineBooster(set_, lambda i, s: FixedLearner(s, points[i]), cfg)
 
 
@@ -136,8 +136,8 @@ class TestUpdate:
             def _apply_update(self, context, g):
                 received[self.slot] = g.copy()
 
-        cfg = BoosterConfig(n_learners=2, gamma=1.0, lipschitz=1.0,
-                            delta=1e-3, kappa=1.0)
+        # delta = D / (G gamma sqrt(N)) = 2e6 / (1e9 sqrt(2)), about 1.4e-3
+        cfg = BoosterConfig(n_learners=2, gamma=1.0, lipschitz=1e9)
         booster = OnlineBooster(big, lambda i, s: Recorder(s, pts[i], i), cfg)
         _, traj = booster.predict([0.0])
         booster.update(LinearLoss(direction), traj)
@@ -150,11 +150,10 @@ class TestUpdate:
 
     def test_one_dim_gradient_matches_finite_differences(self):
         iv = Interval(-1.0, 1.0)
-        booster = _fixed_booster(iv, [np.array([0.6])], gamma=0.5, kappa=4.0,
-                                 delta=0.3)
+        booster = _fixed_booster(iv, [np.array([0.6])], gamma=0.5, lipschitz=4.0)
         _, traj = booster.predict([0.0])
         loss = QuadraticLoss([0.2])
-        ext = ExtendedLoss(loss, iv, delta=0.3, kappa=4.0)
+        ext = ExtendedLoss(loss, iv, delta=booster.delta, kappa=booster.kappa)
         fd = finite_diff_grad(ext.value, traj.stages[0])
         g = ext.grad(traj.stages[0])
         assert np.linalg.norm(fd - g) <= 1e-3 * max(1.0, np.linalg.norm(g))
@@ -172,6 +171,28 @@ class TestUpdate:
         booster.predict([1.0])
         with pytest.raises(ProtocolError):
             booster.update(LinearLoss([1.0, 0.0]), stale)
+
+    @pytest.mark.parametrize("make", [
+        lambda i, s: UniformBaseline(s),
+        lambda i, s: ScaledLeaderOracle([lambda c: np.full(3, 0.2),
+                                         lambda c: np.full(3, -0.2)], 0.5, s),
+    ], ids=["list", "leader-bank"])
+    def test_wrong_size_loss_rejected_before_learners_move(self, make):
+        # a zero-offset set takes the loss unshifted, where a 1-D direction
+        # would broadcast against the 3-D stage points
+        cfg = BoosterConfig(n_learners=2, gamma=0.5, lipschitz=1.0)
+        booster = OnlineBooster(Ball(3, 1.0), make, cfg)
+        _, traj = booster.predict([0.0])
+        for loss in (LinearLoss([0.3]), QuadraticLoss([0.5])):
+            with pytest.raises(DimensionMismatch):
+                booster.update(loss, traj)
+        assert [learner.rounds for learner in booster.learners] == [0, 0]
+        assert booster.rounds_done == 0
+        assert booster.max_grad_norm == 0.0
+        booster.update(LinearLoss([0.3, 0.0, -0.4]), traj)
+        assert [learner.rounds for learner in booster.learners] == [1, 1]
+        assert booster.rounds_done == 1
+        assert booster.max_grad_norm > 0.0
 
 
 class TestRegretReport:
@@ -217,8 +238,8 @@ class TestRunningTotals:
         loss = CallableLoss(quad.value, quad.grad,
                             curvature_hint=quad.curvature_hint)
         pts = [np.array([0.9, -0.8]), np.array([-0.7, 0.6]), np.array([0.5, 0.5])]
-        booster = _fixed_booster(box, pts, gamma=0.5, kappa=2.0)
-        linear = _fixed_booster(box, pts, gamma=0.5, kappa=2.0)
+        booster = _fixed_booster(box, pts, gamma=0.5, lipschitz=2.0)
+        linear = _fixed_booster(box, pts, gamma=0.5, lipschitz=2.0)
         for _ in range(4):
             for b, f in ((booster, loss), (linear, LinearLoss([0.3, -0.6]))):
                 _, traj = b.predict([0.0])
@@ -287,34 +308,38 @@ class TestTranscriptAndConfig:
         iv = Interval(-1.0, 1.0)
         cfg = BoosterConfig(n_learners=3, gamma=0.25, lipschitz=8.0)
         booster = OnlineBooster(
-            iv, lambda i, s: DecisionStump(4, s, 0.25, warmup=5), cfg)
+            iv, lambda i, s: DecisionStump(4, s, 0.25), cfg)
         assert booster.n_learners == 3
         assert booster.gamma == 0.25
-        for t in range(8):
+        for t in range(STUMP_WARMUP + 3):
             played, traj = booster.predict(rng.standard_normal(4))
             assert iv.contains(played)
             booster.update(QuadraticLoss([rng.uniform(-1, 1)]), traj)
+
+    @pytest.mark.parametrize("n, gamma, lipschitz", [(1, 1.0, 1.0), (3, 0.25, 8.0),
+                                                     (16, 0.5, 0.3)])
+    def test_smoothing_derived_from_lipschitz(self, n, gamma, lipschitz):
+        config = BoosterConfig(n_learners=n, gamma=gamma, lipschitz=lipschitz)
+        ball = Ball(2, 1.5, center=[0.5, -1.0])
+        expected = (default_delta(ball.diameter, gamma, n, lipschitz), lipschitz)
+        assert config.smoothing(ball.diameter) == expected
+        booster = OnlineBooster(ball, lambda i, s: UniformBaseline(s), config)
+        assert (booster.delta, booster.kappa) == expected
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             BoosterConfig(n_learners=0, gamma=0.5, lipschitz=1.0)
         with pytest.raises(ConfigError):
             BoosterConfig(n_learners=2, gamma=1.5, lipschitz=1.0)
-        with pytest.raises(ConfigError):
-            BoosterConfig(n_learners=2, gamma=0.5, lipschitz=1.0, delta=-1.0)
-        with pytest.raises(ConfigError):
-            # neither kappa nor lipschitz
-            OnlineBooster(Ball(2, 1.0), lambda i, s: UniformBaseline(s),
-                          BoosterConfig(n_learners=1, gamma=0.5, delta=0.5))
+        with pytest.raises(TypeError):
+            # the smoothing radius and kappa come from lipschitz
+            BoosterConfig(n_learners=1, gamma=0.5)
         # non-finite settings fail when the config is built, not at the
         # first update
         nan, inf = float("nan"), float("inf")
-        for name, value in (("lipschitz", nan), ("lipschitz", inf),
-                            ("delta", nan), ("delta", inf),
-                            ("kappa", nan), ("kappa", inf)):
-            settings = {"lipschitz": 1.0, name: value}
-            with pytest.raises(ConfigError, match=f"{name} must be"):
-                BoosterConfig(n_learners=2, gamma=0.5, **settings)
+        for value in (nan, inf):
+            with pytest.raises(ConfigError, match="lipschitz must be"):
+                BoosterConfig(n_learners=2, gamma=0.5, lipschitz=value)
         # a zero-diameter set gives a zero balanced radius
         config = BoosterConfig(n_learners=2, gamma=0.5, lipschitz=1.0)
         for diameter in (0.0, nan):
@@ -344,7 +369,7 @@ def test_learners_keep_no_reference_to_the_callers_contexts(rng):
     targets = rng.uniform(-1.0, 1.0, 300)
     booster = OnlineBooster(
         Interval(-1.0, 1.0),
-        lambda i, s: DecisionStump(3, s, 0.5, warmup=20,
+        lambda i, s: DecisionStump(3, s, 0.5,
                                    anchor="zero" if i == 0 else "self"),
         BoosterConfig(n_learners=3, gamma=0.5, lipschitz=8.0))
     for row, target in zip(features, targets):

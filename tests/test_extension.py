@@ -258,6 +258,14 @@ class TestRows:
             with pytest.raises(DimensionMismatch):
                 ExtendedLoss.lift([loss], np.zeros(2), box, delta=0.4, kappa=1.5)
 
+    def test_rejects_a_loss_of_another_dimension(self):
+        # unchecked, a 1-D target or direction broadcasts against 3-D points
+        ball = Ball(3, 1.0)
+        for loss in (QuadraticLoss([0.5]), LinearLoss([0.3]),
+                     ScaledLoss(LinearLoss([1.0, 2.0]), 2.0)):
+            with pytest.raises(DimensionMismatch, match="loss and set"):
+                ExtendedLoss(loss, ball, delta=0.4, kappa=1.5)
+
     def test_iterative_rows_match_points(self, rng):
         # no closed form: each row is solved on its own, and the batch's
         # info sums the iterations and takes the worst residual

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ocoboost.errors import ConfigError, ProtocolError
+from ocoboost.errors import ConfigError, DimensionMismatch, ProtocolError
 from ocoboost.geometry import Ball, Interval, Simplex
 from ocoboost.losses import LinearLoss
-from ocoboost.weak import (DecisionStump, OnlineRidge, ScaledLeaderOracle,
-                           TinyMlp, UniformBaseline, empirical_gamma_regret)
+from ocoboost.weak import (STUMP_BINS, STUMP_WARMUP, DecisionStump, OnlineRidge,
+                           ScaledLeaderOracle, TinyMlp, UniformBaseline,
+                           empirical_gamma_regret)
 
 
 def _ball_hypotheses(rng, n=4, dim=2):
@@ -116,16 +117,16 @@ class TestScaledLeaderOracle:
 class TestDecisionStump:
     def test_warmup_plays_centroid(self, rng):
         iv, _ = Interval(-1.0, 1.0).recenter()
-        stump = DecisionStump(3, iv, warmup=10)
-        for _ in range(9):
+        stump = DecisionStump(3, iv)
+        for _ in range(STUMP_WARMUP - 1):
             np.testing.assert_allclose(stump.predict(rng.standard_normal(3)), [0.0])
             stump.update(LinearLoss([rng.standard_normal()]))
 
     def test_single_cell_statistic_changes(self, rng):
         # p = 1: exactly one (feature, bin) cell changes per update
         iv = Interval(-1.0, 1.0)
-        stump = DecisionStump(1, iv, warmup=8, bins=4)
-        for _ in range(8):
+        stump = DecisionStump(1, iv)
+        for _ in range(STUMP_WARMUP):
             stump.predict(rng.standard_normal(1))
             stump.update(LinearLoss([rng.standard_normal()]))
         before = stump.counts.copy()
@@ -136,8 +137,8 @@ class TestDecisionStump:
 
     def test_one_cell_per_feature_changes(self, rng):
         iv = Interval(-1.0, 1.0)
-        stump = DecisionStump(4, iv, warmup=8, bins=4)
-        for _ in range(8):
+        stump = DecisionStump(4, iv)
+        for _ in range(STUMP_WARMUP):
             stump.predict(rng.standard_normal(4))
             stump.update(LinearLoss([rng.standard_normal()]))
         before = stump.counts.copy()
@@ -148,8 +149,18 @@ class TestDecisionStump:
 
     def test_feature_dim_mismatch(self, rng):
         stump = DecisionStump(3, Interval(-1.0, 1.0))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DimensionMismatch):
             stump.predict(np.zeros(2))
+
+    def test_fixed_warmup_and_bins(self, rng):
+        iv, _ = Interval(-1.0, 1.0).recenter()
+        stump = DecisionStump(3, iv)
+        for _ in range(STUMP_WARMUP):
+            assert stump.edges is None
+            np.testing.assert_array_equal(stump.predict(rng.standard_normal(3)),
+                                          [0.0])
+            stump.update(LinearLoss([rng.standard_normal()]))
+        assert [edges.shape for edges in stump.edges] == [(STUMP_BINS - 1,)] * 3
 
 
 class TestGradientFitLearners:
@@ -171,7 +182,7 @@ class TestGradientFitLearners:
     def test_standalone_ridge_fits_targets(self, rng):
         # self-anchored regression recovers a linear map
         iv = Interval(-3.0, 3.0)
-        ridge = OnlineRidge(2, iv, step=0.05, power=0.0)
+        ridge = OnlineRidge(2, iv, step=0.05)
         w_true = np.array([1.0, -0.5])
         err = 0.0
         for t in range(3000):
@@ -203,9 +214,9 @@ def test_predictions_stay_feasible_under_adversarial_losses(rng):
             UniformBaseline(set_c),
             ScaledLeaderOracle([lambda c: set_c.sample(np.random.default_rng(1))
                                 for _ in range(3)], 0.7, set_c),
-            DecisionStump(2, set_c, warmup=5),
-            OnlineRidge(2, set_c, step=0.5, power=0.0),
-            TinyMlp(2, set_c, step=0.5, seed=1, power=0.0),
+            DecisionStump(2, set_c),
+            OnlineRidge(2, set_c, step=0.5),
+            TinyMlp(2, set_c, step=0.5, seed=1),
         ]
         for learner in learners:
             for _ in range(60):
@@ -223,8 +234,8 @@ _ONE_ROUND_LEARNERS = {
     "leader-ftl": (lambda s: ScaledLeaderOracle(_LEADER_HYPOTHESES, 0.5, s), 1),
     "leader-hedge": (lambda s: ScaledLeaderOracle(_LEADER_HYPOTHESES, 0.5, s,
                                                   mode="hedge"), 1),
-    "stump-in-warmup": (lambda s: DecisionStump(2, s, warmup=5), 1),
-    "stump-after-warmup": (lambda s: DecisionStump(2, s, warmup=5), 6),
+    "stump-in-warmup": (lambda s: DecisionStump(2, s), 1),
+    "stump-after-warmup": (lambda s: DecisionStump(2, s), STUMP_WARMUP + 1),
     "ridge": (lambda s: OnlineRidge(2, s), 1),
     "mlp": (lambda s: TinyMlp(2, s, seed=3), 1),
 }
@@ -241,9 +252,25 @@ def test_update_consumes_its_predict(rng, name):
         learner.predict(rng.standard_normal(2))
         learner.update(LinearLoss(rng.standard_normal(2)))
     if isinstance(learner, DecisionStump):
-        assert (learner.edges is not None) == (rounds > learner.warmup)
+        assert (learner.edges is not None) == (rounds > STUMP_WARMUP)
     with pytest.raises(ProtocolError):
         learner.update(LinearLoss(rng.standard_normal(2)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: DecisionStump(3, s),
+    lambda s: OnlineRidge(3, s),
+    lambda s: TinyMlp(3, s, seed=3),
+], ids=["stump", "ridge", "mlp"])
+def test_rejected_context_is_not_kept(make):
+    # a context of the wrong size is refused before the learner stores it,
+    # so no update can act on it
+    learner = make(Interval(-1.0, 1.0))
+    with pytest.raises(DimensionMismatch):
+        learner.predict(np.zeros(2))
+    with pytest.raises(ProtocolError):
+        learner.update(LinearLoss([0.5]))
+    assert learner.rounds == 0
 
 
 def test_empirical_gamma_regret_empty_transcript(rng):
