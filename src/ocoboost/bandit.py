@@ -50,7 +50,7 @@ def resolve_explore_rate(explore_rate, d: int, horizon: int | None,
     [0, 1]."""
     if isinstance(explore_rate, str) and explore_rate == "auto":
         if horizon is None:
-            raise ConfigError("explore_rate 'auto' needs a horizon")
+            raise ConfigError("explore_rate 'auto' needs a horizon (default_explore_rate)")
         return default_explore_rate(d, horizon, n_learners, gamma,
                                     weak_regret_bound)
     try:
@@ -76,19 +76,18 @@ def verify_simplex_containment(set_: DecisionSet) -> None:
 
 
 class BanditBooster:
-    """Step/feedback wrapper around an ``OnlineBooster`` for linear bandits;
+    """Step/feedback wrapper around an ``OnlineBooster`` for linear bandits.
+    It explores with the probability ``explore_rate`` it is given (the
+    paper's rate for a horizon is ``default_explore_rate``);
     ``explored_rounds`` counts the rounds that played a basis vector."""
 
     def __init__(self, set_: DecisionSet, learner_factory,
-                 inner_config: BoosterConfig, explore_rate="auto",
-                 horizon: int | None = None, seed: int = 0,
-                 weak_regret_bound: float = 0.0):
+                 inner_config: BoosterConfig, explore_rate, seed: int = 0):
         verify_simplex_containment(set_)
-        self.set_ = set_
         self.dim = set_.dim
         self.explore_rate = resolve_explore_rate(
-            explore_rate, self.dim, horizon, inner_config.n_learners,
-            inner_config.gamma, weak_regret_bound)
+            explore_rate, self.dim, None, inner_config.n_learners,
+            inner_config.gamma)
         self.inner = OnlineBooster(set_, learner_factory, inner_config)
 
         streams = np.random.SeedSequence(seed).spawn(2)

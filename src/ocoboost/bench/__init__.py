@@ -1,10 +1,2 @@
-"""Benchmark harness: dataset ingestion, streaming regression experiments,
-synthetic acceptance scenarios, and the CLI driver."""
-
-from .data import Dataset, ingest, load_dataset, synthetic_regression
-from .experiment import ExperimentConfig, emit_table, run_experiment
-
-__all__ = [
-    "Dataset", "ingest", "load_dataset", "synthetic_regression",
-    "ExperimentConfig", "emit_table", "run_experiment",
-]
+"""Benchmark harness, one submodule each: ``data`` (dataset ingestion),
+``experiment`` (streaming regression), ``synth`` (acceptance) and ``cli``."""

@@ -84,6 +84,8 @@ def _cmd_run(args) -> int:
 def _cmd_synth(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.horizon is not None and args.horizon < 1:
         raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
     if args.n is not None and (not args.n or min(args.n) < 1):

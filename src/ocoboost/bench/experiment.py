@@ -47,6 +47,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must be in (0, 1]")
         if not 0.0 < self.step < math.inf:
@@ -172,19 +174,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     for kind in cfg.learners:
         wl_mean = float(cum[kind]["wl"].mean())
-        normalized = {n: float(cum[kind][n].mean()) / wl_mean for n in n_values}
-        per_run_ratio = {n: (cum[kind][n] / cum[kind]["wl"]).tolist()
-                         for n in n_values}
-        improvement = (1.0 - min(normalized.values())) * 100.0
+        normalized = {f"N={n}": float(cum[kind][n].mean()) / wl_mean
+                      for n in n_values}
         rows.append({
             "learner": kind,
             "wl": 1.0,
-            "normalized": {f"N={n}": normalized[n] for n in n_values},
-            "improvement": improvement,
-            "mean_cumulative": {"wl": wl_mean,
-                                **{f"N={n}": float(cum[kind][n].mean())
-                                   for n in n_values}},
-            "per_run_ratio": {f"N={n}": per_run_ratio[n] for n in n_values},
+            "normalized": normalized,
+            "improvement": (1.0 - min(normalized.values())) * 100.0,
+            "per_run_ratio": {f"N={n}": (cum[kind][n] / cum[kind]["wl"]).tolist()
+                              for n in n_values},
         })
 
     config_echo = {

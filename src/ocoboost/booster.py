@@ -106,6 +106,7 @@ class OnlineBooster:
     # -- per-round protocol -------------------------------------------------
 
     def predict(self, context) -> tuple[np.ndarray, RoundTrajectory]:
+        self._last_traj = None  # a failed predict leaves no round to update
         context = as_point(context, name="context")
         plays = self.bank.predict_all(context)
         if not math.isfinite(np.vdot(plays, plays)):

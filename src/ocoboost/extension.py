@@ -50,7 +50,7 @@ _EXACT_INFO = ProxInfo(residual=0.0, iterations=0, nonconverged=0)
 
 
 def default_delta(diameter: float, gamma: float, n_learners: int,
-                  lipschitz: float | None = None) -> float:
+                  lipschitz: float) -> float:
     """Smoothing radius for an N-learner boosting run: D / (G gamma sqrt(N)),
     which balances the smoothing and mixing error terms and needs the
     gradient bound G."""

@@ -170,7 +170,7 @@ class Box(DecisionSet):
 
     def shift(self, offset) -> "Box":
         off = as_point(offset, self.dim)
-        return type(self)(self.lower + off, self.upper + off)
+        return Box(self.lower + off, self.upper + off)
 
     def farthest_distance(self, point) -> float:
         point = as_point(point, self.dim)
@@ -184,22 +184,10 @@ class Box(DecisionSet):
 
 
 class Interval(Box):
-    """Closed interval [lo, hi] on the real line."""
+    """Closed interval [lo, hi] on the real line; shifted, a one-dimensional ``Box``."""
 
     def __init__(self, lo: float, hi: float):
         super().__init__([float(lo)], [float(hi)])
-
-    @property
-    def lo(self) -> float:
-        return float(self.lower[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.upper[0])
-
-    def shift(self, offset) -> "Interval":
-        off = as_point(offset, 1)
-        return Interval(self.lo + off[0], self.hi + off[0])
 
 
 class Simplex(DecisionSet):

@@ -110,7 +110,6 @@ class _StageOracle(SampleOracle):
         self.probs = np.array(probs, dtype=np.float64)
         self.extensions = ExtendedLoss.lift(losses, offset, set_c, delta, kappa)
         self.points = np.zeros((len(self.contexts), set_c.dim))  # (K, d)
-        self._grads = None  # (K, d) gradients at the points, once read
         self._tabled = []  # the hypotheses whose values fill the table
         self._values = None  # (K, J, d) values at the atom contexts
 
@@ -122,14 +121,12 @@ class _StageOracle(SampleOracle):
 
     def gradients(self) -> np.ndarray:
         """(K, d) extension gradients of the atoms at their stage points."""
-        if self._grads is None:
-            grads = np.empty_like(self.points)
-            for rows, ext in self.extensions:
-                grads[rows] = ext.grad_with_info(self.points[rows])[0]
-            if not math.isfinite(np.vdot(grads, grads)):
-                raise NonFiniteInput("lifted losses contain non-finite entries")
-            self._grads = grads
-        return self._grads
+        grads = np.empty_like(self.points)
+        for rows, ext in self.extensions:
+            grads[rows] = ext.grad_with_info(self.points[rows])[0]
+        if not math.isfinite(np.vdot(grads, grads)):
+            raise NonFiniteInput("lifted losses contain non-finite entries")
+        return grads
 
     def support(self):
         if self.contexts is None:
@@ -182,7 +179,6 @@ class _StageOracle(SampleOracle):
         points with step ``eta``."""
         if self.contexts is not None:
             self.points = (1.0 - eta) * self.points + scale * self.column(learned)
-            self._grads = None
 
 
 class ConstantHypothesis:

@@ -72,6 +72,7 @@ class WeakLearner:
         raise NotImplementedError
 
     def _remember(self, context):
+        self._last_context = None  # a rejected context leaves no round
         self._last_context = as_point(context, self.feature_dim, "context")
         return self._last_context
 
@@ -121,8 +122,10 @@ class ScaledLeaderOracle(WeakLearner):
         self._last_actions = None
 
     def predict(self, context) -> np.ndarray:
-        self._remember(context)
+        c = self._remember(context)
+        self._last_context = None  # kept once every hypothesis has played
         self._last_actions = _hypothesis_actions(self.hypotheses, context)
+        self._last_context = c
         return _leader_plays(self.cum_losses[None], self._last_actions, self.gamma,
                              self.mode, self.scale, self.rounds)[0]
 

@@ -11,11 +11,11 @@ from ocoboost.testkit import bandit_expectation
 from ocoboost.weak import UniformBaseline
 
 
-def _make_bandit(dim=4, explore_rate=0.5, seed=0, n_learners=2, horizon=None):
+def _make_bandit(dim=4, explore_rate=0.5, seed=0, n_learners=2):
     simplex = Simplex(dim)
     cfg = BoosterConfig(n_learners=n_learners, gamma=0.5, lipschitz=2.0)
     return BanditBooster(simplex, lambda i, s: UniformBaseline(s), cfg,
-                         explore_rate=explore_rate, seed=seed, horizon=horizon)
+                         explore_rate=explore_rate, seed=seed)
 
 
 def _grid_minimize(f, lo, hi, rounds=12):
@@ -220,18 +220,16 @@ class TestDefaultExploreRate:
 
     def test_auto_requires_horizon(self):
         with pytest.raises(ConfigError):
-            _make_bandit(explore_rate="auto", horizon=None)
+            _make_bandit(explore_rate="auto")
 
-    def test_auto_rate_resolved_from_horizon(self):
-        # N = 256 keeps the rate inside (0, 1), where the weak regret bound
-        # moves it
-        cfg = BoosterConfig(n_learners=256, gamma=1.0, lipschitz=4.0)
-        bb = BanditBooster(Simplex(3), lambda i, s: UniformBaseline(s), cfg,
-                           explore_rate="auto", horizon=1000,
-                           weak_regret_bound=20.0)
-        expected = default_explore_rate(3, 1000, 256, 1.0, 20.0)
-        assert expected < default_explore_rate(3, 1000, 256, 1.0, 40.0) < 1.0
-        assert bb.explore_rate == pytest.approx(expected)
+    @pytest.mark.parametrize("setting", [{"horizon": 1000},
+                                         {"weak_regret_bound": 20.0}])
+    def test_booster_plays_the_rate_it_is_given(self, setting):
+        # choosing the rate from the horizon is the caller's job
+        cfg = BoosterConfig(n_learners=2, gamma=0.5, lipschitz=2.0)
+        with pytest.raises(TypeError):
+            BanditBooster(Simplex(3), lambda i, s: UniformBaseline(s), cfg,
+                          explore_rate=0.25, **setting)
 
 
 class TestResolveExploreRate:

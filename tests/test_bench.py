@@ -278,6 +278,20 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
+        ["run", "--dataset", "synthetic", "--n", "2", "--runs", "1"],
+        ["synth", "--scenario", "oco", "--n", "2", "--horizon", "10",
+         "--seeds", "1"],
+        ["synth", "--scenario", "bandit", "--n", "2", "--horizon", "10",
+         "--seeds", "1"],
+        ["synth", "--scenario", "sco", "--n", "2"],
+    ], ids=["run", "synth-oco", "synth-bandit", "synth-sco"])
+    def test_negative_seed_exits_with_config_error(self, argv, capsys):
+        code = main([*argv, "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed" in err
+
+    @pytest.mark.parametrize("argv", [
         ["synth", "--scenario", "oco", "--seeds", "0"],
         ["synth", "--scenario", "bandit", "--explore-rate", "high"],
         ["synth", "--scenario", "bandit", "--explore-rate", "0"],

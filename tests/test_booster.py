@@ -194,6 +194,26 @@ class TestUpdate:
         assert booster.rounds_done == 1
         assert booster.max_grad_norm > 0.0
 
+    def test_failed_predict_leaves_no_round(self):
+        # a predict in which a learner plays NaN drops the round before it:
+        # the earlier trajectory can no longer be updated
+        class NanOnNegative(FixedLearner):
+            def predict(self, context):
+                point = super().predict(context)
+                return point * np.nan if context[0] < 0 else point
+
+        cfg = BoosterConfig(n_learners=3, gamma=0.5, lipschitz=4.0)
+        booster = OnlineBooster(Interval(-1.0, 1.0),
+                                lambda i, s: NanOnNegative(s, [0.2 * i]), cfg)
+        _, traj = booster.predict([1.0])
+        with pytest.raises(NonFiniteInput):
+            booster.predict([-1.0])
+        with pytest.raises(ProtocolError):
+            booster.update(LinearLoss([0.5]), traj)
+        assert [learner.rounds for learner in booster.learners] == [0, 0, 0]
+        assert booster.rounds_done == 0
+        assert booster.realized_loss == 0.0
+
 
 class TestRegretReport:
     """Regret is measured by the caller: ``realized_loss`` minus a

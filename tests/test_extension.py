@@ -291,7 +291,7 @@ class TestDefaultDelta:
 
     def test_balanced_needs_lipschitz(self):
         with pytest.raises(ConfigError):
-            default_delta(2.0, 0.5, 16)
+            default_delta(2.0, 0.5, 16, None)
         for n_learners, lipschitz in ((0, 1.0), (-2, 1.0),
                                       (16, float("inf")), (16, float("nan"))):
             with pytest.raises(ConfigError):

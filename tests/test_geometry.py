@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ocoboost.errors import DimensionMismatch, NonFiniteInput
-from ocoboost.geometry import (Ball, CustomSet, Interval, Simplex, as_point,
+from ocoboost.geometry import (Ball, Box, CustomSet, Interval, Simplex, as_point,
                                row_norms)
 from ocoboost.testkit import _simplex_grid
 
@@ -154,6 +154,18 @@ class TestRecenter:
         # the recentred set is [-1, 1]: its projection clamps to those ends
         assert rec.project([-5.0])[0] == pytest.approx(-1.0)
         assert rec.project([5.0])[0] == pytest.approx(1.0)
+
+    def test_shifted_interval_is_a_box(self, rng):
+        # the shifted box projects every row with the bits of an interval
+        # built on the shifted ends
+        lo, hi, off = -0.3, 1.7, 0.1
+        shifted = Interval(lo, hi).shift([off])
+        assert type(shifted) is Box
+        reference = Interval(lo + off, hi + off)
+        x = 3.0 * rng.standard_normal((50, 1))
+        assert np.array_equal(shifted._project(x), reference._project(x))
+        assert np.array_equal(shifted.lower, reference.lower)
+        assert np.array_equal(shifted.upper, reference.upper)
 
     def test_simplex_monte_carlo_centroid(self, rng):
         simplex = Simplex(3)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ocoboost.errors import ConfigError, DimensionMismatch, ProtocolError
+from ocoboost.errors import (ConfigError, DimensionMismatch, NonFiniteInput,
+                             ProtocolError)
 from ocoboost.geometry import Ball, Interval, Simplex
 from ocoboost.losses import LinearLoss
 from ocoboost.weak import (STUMP_BINS, STUMP_WARMUP, DecisionStump, OnlineRidge,
@@ -271,6 +272,34 @@ def test_rejected_context_is_not_kept(make):
     with pytest.raises(ProtocolError):
         learner.update(LinearLoss([0.5]))
     assert learner.rounds == 0
+
+
+def _refuses_negative_contexts(c):
+    if c[0] < 0:
+        raise ValueError("hypothesis refuses the context")
+    return np.full(1, np.tanh(c[0]))
+
+
+@pytest.mark.parametrize("make, rejected, error", [
+    (lambda s: UniformBaseline(s), np.full(3, np.nan), NonFiniteInput),
+    (lambda s: DecisionStump(3, s), np.zeros(2), DimensionMismatch),
+    (lambda s: OnlineRidge(3, s), np.zeros(2), DimensionMismatch),
+    (lambda s: TinyMlp(3, s, seed=3), np.zeros(2), DimensionMismatch),
+    (lambda s: ScaledLeaderOracle([_refuses_negative_contexts], 0.5, s),
+     -np.ones(3), ValueError),
+], ids=["uniform", "stump", "ridge", "mlp", "leader"])
+def test_rejected_predict_leaves_no_round(make, rejected, error):
+    # a predict that raises drops the round of the predict before it, so
+    # the next update has nothing to act on and nothing moves
+    learner = make(Interval(-1.0, 1.0))
+    learner.predict(np.ones(3))
+    with pytest.raises(error):
+        learner.predict(rejected)
+    with pytest.raises(ProtocolError):
+        learner.update(LinearLoss([0.5]))
+    assert learner.rounds == 0
+    if isinstance(learner, ScaledLeaderOracle):
+        assert np.array_equal(learner.cum_losses, [0.0])
 
 
 def test_empirical_gamma_regret_empty_transcript(rng):
