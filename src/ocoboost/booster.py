@@ -1,11 +1,11 @@
 """Full-information online boosting over N weak learners.
 
 Each round, the booster mixes the (1/gamma)-rescaled weak-learner actions
-stagewise with step sizes eta_i = min(2/i, 1), plays the projection of the
-final stage point, and after observing the loss feeds every learner the
-gradient of the smoothed out-of-set extension at that learner's incoming
-stage point. All internal arithmetic happens in recentered coordinates;
-the public API accepts and returns original coordinates.
+stagewise with steps eta_i = min(2/i, 1) (``stage_weights``), plays the
+projection of the final stage point, and after observing the loss feeds
+every learner the gradient of the smoothed out-of-set extension at that
+learner's incoming stage point. Internal arithmetic happens in recentered
+coordinates; the public API accepts and returns original coordinates.
 """
 
 from __future__ import annotations
@@ -22,9 +22,15 @@ from .losses import ConvexLoss, ShiftedLoss
 from .weak import LeaderBank, LearnerList
 
 
-def step_sizes(n: int) -> list[float]:
-    """The mixing steps eta_i = min(2/i, 1) of stages i = 1..n."""
-    return [min(2.0 / i, 1.0) for i in range(1, n + 1)]
+def stage_weights(n: int, gamma: float) -> np.ndarray:
+    """The (n+1, n) table W with stage point m = ``W[m] @ plays``: the steps
+    x^i = (1 - eta_i) x^(i-1) + (eta_i / gamma) play_(i-1) from x^0 = 0 are
+    linear in the plays. Row 1 is e_0 / gamma; for m >= 2, row m puts
+    2j / (gamma m (m-1)) on each play j < m."""
+    m = np.arange(n + 1.0)[:, None]
+    weights = np.tril(2.0 * np.arange(n) / np.maximum(m * (m - 1), 1.0) / gamma, -1)
+    weights[1, 0] = 1.0 / gamma
+    return weights
 
 
 @dataclass
@@ -42,8 +48,8 @@ class BoosterConfig:
     lipschitz: float
 
     def __post_init__(self):
-        if self.n_learners < 1:
-            raise ConfigError("n_learners must be >= 1")
+        if not isinstance(self.n_learners, (int, np.integer)) or self.n_learners < 1:
+            raise ConfigError(f"n_learners={self.n_learners} is not an integer >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must be in (0, 1]")
         if not 0 < self.lipschitz < math.inf:
@@ -86,9 +92,7 @@ class OnlineBooster:
     def __init__(self, set_: DecisionSet, learner_factory, config: BoosterConfig):
         self.config = config
         self.set_c, self.offset = set_.recenter()
-        self.gamma = config.gamma
-        self.n_learners = config.n_learners
-        self.etas = step_sizes(config.n_learners)
+        self.weights = stage_weights(config.n_learners, config.gamma)
         self.learners = [learner_factory(i, self.set_c)
                          for i in range(config.n_learners)]
         # a round drives every learner through one bank object
@@ -112,13 +116,8 @@ class OnlineBooster:
         if not math.isfinite(np.vdot(plays, plays)):
             slot = int(np.flatnonzero(~np.isfinite(np.vecdot(plays, plays)))[0])
             raise NonFiniteInput(f"learner {slot} played a non-finite point")
-        n, d = self.n_learners, self.set_c.dim
-        stages = np.empty((n + 1, d))
-        stages[0] = 0.0  # the centroid, in recentered coordinates
-        for i, eta in enumerate(self.etas):
-            stages[i + 1] = (1.0 - eta) * stages[i] + (eta / self.gamma) * plays[i]
-        played_c = self.set_c._project(stages[n])
-        traj = RoundTrajectory(stages=stages, played=played_c + self.offset)
+        stages = self.weights @ plays  # row 0 is the centroid, recentered
+        traj = RoundTrajectory(stages, self.set_c._project(stages[-1]) + self.offset)
         self._last_traj = traj
         return traj.played.copy(), traj
 

@@ -4,8 +4,8 @@ Instead of a loss stream, the input is a sampling oracle over i.i.d.
 (loss, context) pairs. Each stage wraps the oracle on the fly: a drawn loss
 is smoothed and extended around the current ensemble hypothesis and emitted
 as a linear loss with the same context; a weak optimizer is then trained on
-that lifted distribution and mixed into the ensemble. The result is a
-single hypothesis whose actions are projected into the decision set.
+that lifted distribution and mixed into the ensemble by ``stage_weights``.
+The result is a single hypothesis whose actions are projected into the set.
 
 Internal arithmetic uses recentered coordinates; weak optimizers therefore
 receive contexts plus linear losses in recentered coordinates and must
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .booster import BoosterConfig, step_sizes
+from .booster import BoosterConfig, stage_weights
 from .errors import ConfigError, NonFiniteInput, StageError
 from .extension import ExtendedLoss
 from .geometry import DecisionSet, as_point
@@ -85,20 +85,21 @@ class CallableSampleOracle(SampleOracle):
 
 class _StageOracle(SampleOracle):
     """The linear losses of the current boosting stage, one oracle per fit,
-    advanced in place from stage to stage.
+    moved in place from stage to stage.
 
-    A drawn loss is extended and differentiated at the mixture of the
-    previous stages, evaluated at the drawn context. A finite support is
-    lifted at stage points carried by the same recursion as the mixture's
-    components, all atoms in one gradient step per stage. Each hypothesis
+    A drawn loss is extended and differentiated at the merged mixture of the
+    i stages so far, evaluated at the drawn context. A finite support is
+    lifted, all atoms in one gradient step per stage, at ``weights[i]``
+    applied to the stages' values at the atom contexts. Each hypothesis
     scored by ``risks`` is called once per atom per fit: its values at the
-    atom contexts are kept in a table that also gives the carried points.
+    atom contexts are kept in a table that also gives the stages' values.
     """
 
-    def __init__(self, base: SampleOracle, prev_hypothesis, set_c: DecisionSet,
+    def __init__(self, base: SampleOracle, weights: np.ndarray, set_c: DecisionSet,
                  offset, delta: float, kappa: float):
         self.base = base
-        self.prev = prev_hypothesis
+        self.weights, self.stages = weights, []  # weights: (N+1, N) table
+        self.prev = None  # the stages' merged mixture, built by a draw
         self.set_c, self.offset = set_c, offset
         self.delta, self.kappa = delta, kappa
         self.contexts = None
@@ -110,14 +111,19 @@ class _StageOracle(SampleOracle):
         self.probs = np.array(probs, dtype=np.float64)
         self.extensions = ExtendedLoss.lift(losses, offset, set_c, delta, kappa)
         self.points = np.zeros((len(self.contexts), set_c.dim))  # (K, d)
+        self._staged = np.empty((len(weights) - 1, self.points.size))  # row j: stage j
         self._tabled = []  # the hypotheses whose values fill the table
         self._values = None  # (K, J, d) values at the atom contexts
 
     def draw(self):
         loss, context = self.base.draw()
+        if self.prev is None:
+            i = len(self.stages)
+            self.prev = BoostedHypothesis(self.stages, self.weights[i, :i],
+                                          self.set_c, self.offset)
         [(_, ext)] = ExtendedLoss.lift([loss], self.offset, self.set_c,
                                        self.delta, self.kappa)
-        return LinearLoss(ext.grad(self.prev(context)[None])[0]), context
+        return LinearLoss(ext.grad(self.prev.raw(context)[None])[0]), context
 
     def gradients(self) -> np.ndarray:
         """(K, d) extension gradients of the atoms at their stage points."""
@@ -161,24 +167,24 @@ class _StageOracle(SampleOracle):
         self._tabled, self._values = list(hypotheses), values
 
     def column(self, hyp) -> np.ndarray:
-        """(K, d) values of a hypothesis at the atom contexts: read from the
-        table when it holds the hypothesis, scaled from its base's column
-        for a ``ScaledHypothesis``, else one call per atom."""
+        """(K, d) values at the atom contexts: from the table, else one call each."""
         for j, h in enumerate(self._tabled):
             if h is hyp:
                 return self._values[:, j]
-        if isinstance(hyp, ScaledHypothesis):
-            values = hyp.factor * self.column(hyp.base)
-            if not math.isfinite(np.vdot(values, values)):
-                raise NonFiniteInput(f"{hyp.name} has non-finite values")
-            return values
         return np.array([as_point(hyp(c), self.set_c.dim) for c in self.contexts])
 
-    def advance(self, eta: float, scale: float, learned) -> None:
-        """Mix the learned hypothesis, weighted ``scale``, into the stage
-        points with step ``eta``."""
-        if self.contexts is not None:
-            self.points = (1.0 - eta) * self.points + scale * self.column(learned)
+    def add(self, stage) -> None:
+        """Append a learned stage and, on a finite support, move the atoms'
+        points to the new mixture, from the stage's checked values there."""
+        self.stages.append(stage)
+        self.prev, i = None, len(self.stages)
+        if self.contexts is None:
+            return
+        base, factor = _split_stage(stage)
+        values = self._staged[i - 1] = factor * self.column(base).reshape(-1)
+        if not math.isfinite(np.vdot(values, values)):
+            raise NonFiniteInput(f"{stage.name} has non-finite values")
+        self.points = (self.weights[i, :i] @ self._staged[:i]).reshape(self.points.shape)
 
 
 class ConstantHypothesis:
@@ -203,43 +209,47 @@ class ScaledHypothesis:
         return self.factor * np.asarray(self.base(context), dtype=np.float64)
 
 
+def _split_stage(stage):
+    """(base, factor): a ``ScaledHypothesis`` is its factor times its base."""
+    return ((stage.base, stage.factor) if isinstance(stage, ScaledHypothesis)
+            else (stage, 1.0))
+
+
 class BoostedHypothesis:
-    """Affine mixture of stage hypotheses followed by projection.
+    """The mixture of the stages, stage j weighted ``weights[j]``, projected.
+    The weights are merged once into one coefficient per distinct base (a
+    ``ScaledHypothesis``'s factor folded in), so a prediction calls each
+    base once and adds one term per base."""
 
-    The mixture record is exact: apply() evaluates every component and
-    projects the weighted sum, rather than approximating the composition.
-    """
-
-    def __init__(self, components, set_c: DecisionSet, offset):
-        self.components = list(components)  # [(coefficient, hypothesis)]
-        self.set_c = set_c
-        self.offset = as_point(offset, set_c.dim)
+    def __init__(self, stages, weights, set_c: DecisionSet, offset):
+        self.stages, self.weights = tuple(stages), [float(w) for w in weights]
+        self.set_c, self.offset = set_c, as_point(offset, set_c.dim)
+        index, self.bases, self.coefs = {}, [], []  # index: id(base) -> slot
+        for stage, weight in zip(self.stages, self.weights):
+            if weight:
+                base, factor = _split_stage(stage)
+                k = index.setdefault(id(base), len(index))
+                if k == len(self.bases):
+                    self.bases.append(base)
+                    self.coefs.append(0.0)
+                self.coefs[k] += weight * factor
 
     def raw(self, context) -> np.ndarray:
-        """Pre-projection mixture point in recentered coordinates. Each
-        distinct base of the ``ScaledHypothesis`` components is called once;
-        ``coef * (factor * value)`` keeps the bits of calling the component."""
+        """Pre-projection mixture point in recentered coordinates."""
         out = np.zeros(self.set_c.dim)
-        values = {}
-        for coef, hyp in self.components:
-            base, factor = ((hyp.base, hyp.factor) if isinstance(hyp, ScaledHypothesis)
-                            else (hyp, 1.0))
-            value = values.get(id(base))
-            if value is None:
-                value = values[id(base)] = as_point(base(context), self.set_c.dim)
-            out += coef * (factor * value)
+        for coef, base in zip(self.coefs, self.bases):
+            out += coef * as_point(base(context), self.set_c.dim)
         return out
 
     def __call__(self, context) -> np.ndarray:
         return self.set_c._project(self.raw(context)) + self.offset
 
     def to_dict(self) -> dict:
-        return {
-            "offset": self.offset.tolist(),
-            "stages": [{"coef": float(coef),
-                        "id": getattr(hyp, "name", f"stage{i}")}
-                       for i, (coef, hyp) in enumerate(self.components)],
-        }
+        """The offset, and the stages with nonzero weight, each with its weight."""
+        stages = [{"coef": weight, "id": getattr(stage, "name", f"stage{j}")}
+                  for j, (stage, weight) in enumerate(zip(self.stages, self.weights))
+                  if weight]
+        return {"offset": self.offset.tolist(), "stages": stages}
 
 
 class ErmWeakOptimizer:
@@ -283,27 +293,18 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
     projected mixture hypothesis. Total sample cost is n_stages * stage_budget
     (sampled weak optimizers consume a fresh budget per stage). The settings
     are checked, and delta and kappa resolved from the gradient bound
-    ``lipschitz``, as a ``BoosterConfig`` with N = n_stages; the fit starts
-    at the centroid with no components."""
+    ``lipschitz``, as a ``BoosterConfig`` with N = n_stages."""
     config = BoosterConfig(n_learners=n_stages, gamma=gamma, lipschitz=lipschitz)
     delta, kappa = config.smoothing(set_.diameter)
     set_c, offset = set_.recenter()
-    hypothesis = BoostedHypothesis([], set_c, offset)
-    components = hypothesis.components  # advanced in place, stage by stage
-
-    stage_oracle = _StageOracle(oracle, hypothesis.raw, set_c, offset, delta, kappa)
-    for i, eta in enumerate(step_sizes(n_stages), 1):
+    weights = stage_weights(n_stages, gamma)
+    stage_oracle = _StageOracle(oracle, weights, set_c, offset, delta, kappa)
+    for i in range(1, n_stages + 1):
         try:
-            learned = weak_optimizer.solve(stage_oracle, stage_budget)
-            stage_oracle.advance(eta, eta / gamma, learned)
+            stage_oracle.add(weak_optimizer.solve(stage_oracle, stage_budget))
         except Exception as exc:
             raise StageError(i, str(exc)) from exc
-        # a step of 1 clears the earlier components
-        components[:] = ([] if eta == 1.0 else
-                         [((1.0 - eta) * coef, hyp) for coef, hyp in components])
-        components.append((eta / gamma, learned))
-
-    return hypothesis
+    return BoostedHypothesis(stage_oracle.stages, weights[-1], set_c, offset)
 
 
 def population_loss(hypothesis, oracle: SampleOracle, n_samples: int):

@@ -55,7 +55,7 @@ wopt = ob.ErmWeakOptimizer([ob.ConstantHypothesis([0.5]),
 fitted = ob.fit_boosted_hypothesis(oracle, wopt, ob.Interval(-1.0, 1.0),
                                    n_stages=2, gamma=0.5, stage_budget=1,
                                    lipschitz=4.0)
-assert len(fitted.components) == 1
+assert len(fitted.to_dict()["stages"]) == 1
 try:
     data.load_dataset("diabetes")
 except ob.DataError:

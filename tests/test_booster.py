@@ -8,12 +8,14 @@ import pytest
 
 from ocoboost import extension
 from ocoboost.bandit import BanditBooster
-from ocoboost.booster import BoosterConfig, OnlineBooster
+from ocoboost.booster import BoosterConfig, OnlineBooster, stage_weights
 from ocoboost.errors import (ConfigError, DimensionMismatch, NonFiniteInput,
                              ProtocolError)
 from ocoboost.extension import ExtendedLoss, default_delta
 from ocoboost.geometry import Ball, Box, CustomSet, Interval, Simplex
 from ocoboost.losses import CallableLoss, LinearLoss, QuadraticLoss
+from ocoboost.statistical import (ConstantHypothesis, ErmWeakOptimizer,
+                                  FiniteSupportOracle, fit_boosted_hypothesis)
 from ocoboost.testkit import finite_diff_grad, hull_optimum
 from ocoboost.weak import (STUMP_WARMUP, DecisionStump, ScaledLeaderOracle,
                            UniformBaseline, WeakLearner)
@@ -77,13 +79,29 @@ class TestPredictRecurrence:
         pts = [np.array([0.3, 0.1]), np.array([-0.2, 0.4]), np.array([0.0, 0.5])]
         booster = _fixed_booster(ball, pts, gamma=0.4)
         _, traj = booster.predict([1.0])
-        etas = booster.etas
+        plays = np.array([learner.point for learner in booster.learners])
+        np.testing.assert_array_equal(traj.stages, booster.weights @ plays)
+        # the recursion sums in another order: equal to rounding
         recomputed = np.empty_like(traj.stages)
-        recomputed[0] = traj.stages[0]
-        for i, learner in enumerate(booster.learners):
-            recomputed[i + 1] = ((1.0 - etas[i]) * recomputed[i]
-                                 + (etas[i] / 0.4) * learner.point)
-        np.testing.assert_array_equal(recomputed, traj.stages)
+        recomputed[0] = 0.0
+        for i, play in enumerate(plays):
+            eta = min(2.0 / (i + 1), 1.0)
+            recomputed[i + 1] = (1.0 - eta) * recomputed[i] + (eta / 0.4) * play
+        np.testing.assert_allclose(traj.stages, recomputed, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
+    def test_stage_weights_are_the_recursion_on_the_identity(self, n, gamma):
+        weights = stage_weights(n, gamma)
+        expected = np.zeros((n + 1, n))
+        for i in range(1, n + 1):
+            eta = min(2.0 / i, 1.0)
+            expected[i] = (1.0 - eta) * expected[i - 1]
+            expected[i, i - 1] += eta / gamma
+        np.testing.assert_allclose(weights, expected, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(weights[1:].sum(axis=1), 1.0 / gamma, rtol=1e-12)
+        assert not weights[2:, 0].any()
+        assert not np.triu(weights).any()  # stage m mixes only plays j < m
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_play_raises_at_predict(self, bad):
@@ -329,8 +347,8 @@ class TestTranscriptAndConfig:
         cfg = BoosterConfig(n_learners=3, gamma=0.25, lipschitz=8.0)
         booster = OnlineBooster(
             iv, lambda i, s: DecisionStump(4, s, 0.25), cfg)
-        assert booster.n_learners == 3
-        assert booster.gamma == 0.25
+        assert len(booster.learners) == 3
+        assert booster.config.gamma == 0.25
         for t in range(STUMP_WARMUP + 3):
             played, traj = booster.predict(rng.standard_normal(4))
             assert iv.contains(played)
@@ -345,6 +363,23 @@ class TestTranscriptAndConfig:
         assert config.smoothing(ball.diameter) == expected
         booster = OnlineBooster(ball, lambda i, s: UniformBaseline(s), config)
         assert (booster.delta, booster.kappa) == expected
+
+    @pytest.mark.parametrize("n", [2.5, 3.0])
+    def test_non_integral_learner_count_rejected(self, n):
+        with pytest.raises(ConfigError, match="is not an integer >= 1"):
+            BoosterConfig(n_learners=n, gamma=0.5, lipschitz=1.0)
+        oracle = FiniteSupportOracle([(QuadraticLoss([0.2]), [0.0])])
+        wopt = ErmWeakOptimizer([ConstantHypothesis([0.5])], 0.5, exact=True)
+        with pytest.raises(ConfigError, match="is not an integer >= 1"):
+            fit_boosted_hypothesis(oracle, wopt, Interval(-1.0, 1.0), n_stages=n,
+                                   gamma=0.5, stage_budget=1, lipschitz=4.0)
+
+    def test_numpy_integer_learner_count_accepted(self):
+        config = BoosterConfig(n_learners=np.int64(3), gamma=0.5, lipschitz=1.0)
+        booster = OnlineBooster(Ball(2, 1.0), lambda i, s: UniformBaseline(s),
+                                config)
+        _, traj = booster.predict([0.0])
+        assert traj.stages.shape == (4, 2)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

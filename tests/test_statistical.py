@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from ocoboost.booster import BoosterConfig
-from ocoboost.errors import ConfigError, StageError
+from ocoboost.errors import ConfigError, NonFiniteInput, StageError
 from ocoboost.extension import ExtendedLoss, default_delta
 from ocoboost.geometry import Box, Interval
 from ocoboost.losses import (CallableLoss, LinearLoss, QuadraticLoss, ScaledLoss,
                              ShiftedLoss)
-from ocoboost.statistical import (BoostedHypothesis, CallableSampleOracle,
-                                  ConstantHypothesis, ErmWeakOptimizer,
-                                  FiniteSupportOracle, ScaledHypothesis,
-                                  exact_population_loss, fit_boosted_hypothesis,
-                                  population_loss)
+from ocoboost.statistical import (CallableSampleOracle, ConstantHypothesis,
+                                  ErmWeakOptimizer, FiniteSupportOracle,
+                                  ScaledHypothesis, exact_population_loss,
+                                  fit_boosted_hypothesis, population_loss)
 from ocoboost.testkit import hull_optimum
 
 
@@ -141,6 +140,28 @@ class TestFit:
                                    Interval(-1.0, 1.0), n_stages=5, gamma=1.0,
                                    stage_budget=1, lipschitz=8.0)
         assert err.value.stage == 3
+
+    @pytest.mark.parametrize("bad_stage", [2, 4])
+    def test_non_finite_stage_names_itself_at_its_stage(self, bad_stage):
+        # a stage with non-finite values fails at that stage, the last one
+        # (4 of 4) included, and names the hypothesis
+        class Overflowing(ErmWeakOptimizer):
+            stages = 0
+
+            def solve(self, oracle, budget):
+                self.stages += 1
+                learned = super().solve(oracle, budget)
+                if self.stages == bad_stage:
+                    return ScaledHypothesis(learned.base, np.inf, name="blowup")
+                return learned
+
+        wopt = Overflowing(_constant_hyps([-0.5, 0.9]), 1.0, exact=True)
+        with pytest.raises(StageError, match="blowup has non-finite values") as err:
+            fit_boosted_hypothesis(_two_point_oracle(), wopt, Interval(-1.0, 1.0),
+                                   n_stages=4, gamma=1.0, stage_budget=1,
+                                   lipschitz=8.0)
+        assert err.value.stage == bad_stage
+        assert isinstance(err.value.__cause__, NonFiniteInput)
 
     def test_stage_oracle_lifts_gradients(self):
         # the lifted linear losses are extension gradients at h_prev(c)
@@ -277,6 +298,22 @@ class TestStagePoints:
         for _, c in drawn:
             assert self.box.contains(fitted(c))
 
+    def test_sampled_erm_on_a_finite_support_draws_at_mixture(self, rng):
+        base = _box_oracle(rng)
+        drawn = []
+
+        class Recording(FiniteSupportOracle):
+            def draw(self):
+                drawn.append(super().draw())
+                return drawn[-1]
+
+        oracle = Recording(base.atoms, probs=base.probs, seed=1)
+        recorder = _Recorder(_box_hyps(), 0.5, exact=False, draws=4)
+        fit_boosted_hypothesis(oracle, recorder, self.box, n_stages=self.n_stages,
+                               gamma=0.5, stage_budget=8, lipschitz=20.0)
+        atoms = [drawn[12 * i:12 * i + 4] for i in range(self.n_stages)]
+        _check_lifted(recorder, atoms, self.box, 0.5, 20.0)
+
 
 def _reference_fit(oracle, hyps, set_, n_stages, gamma, lipschitz):
     """The exact-ERM fit written out the long way: a one-point extension
@@ -317,9 +354,16 @@ def _reference_fit(oracle, hyps, set_, n_stages, gamma, lipschitz):
     return components, predict, lifted, risks
 
 
+# the fit sums the mixture in the closed form of ``stage_weights``, the
+# reference by the recursion: they agree to rounding
+ROUNDING = dict(rtol=1e-12, atol=1e-14)
+
+
 class TestTabulatedFit:
     """The fit tabulates each hypothesis once and lifts all atoms in one
-    gradient step per stage, with the bits of the fit written out above."""
+    gradient step per stage. It makes the ERM choices of the fit written out
+    above, and its risks, lifted directions and predictions agree with that
+    fit's to rounding."""
 
     box = Box([-1.0, -0.5, 0.0], [1.0, 1.5, 1.0])  # centroid off the origin
     n_stages = 12
@@ -343,16 +387,21 @@ class TestTabulatedFit:
             stage_budget=1, lipschitz=20.0)
         components, predict, lifted, expected_risks = _reference_fit(
             oracle, hyps, self.box, self.n_stages, 0.5, 20.0)
-        np.testing.assert_array_equal(risks, expected_risks)
-        np.testing.assert_array_equal(
+        assert [h.name for h in recorder.learned] == \
+            [f"erm[{int(np.argmin(r))}]" for r in expected_risks]
+        np.testing.assert_allclose(risks, expected_risks, **ROUNDING)
+        np.testing.assert_allclose(
             [[lin.direction for lin, _, _ in support] for support in recorder.lifted],
-            lifted)
+            lifted, **ROUNDING)
         contexts = ([c for _, c, _ in oracle.support()]
                     + list(rng.standard_normal((16, 2))))
-        np.testing.assert_array_equal([fitted(c) for c in contexts],
-                                      [predict(c) for c in contexts])
-        assert fitted.to_dict() == BoostedHypothesis(
-            components, fitted.set_c, fitted.offset).to_dict()
+        np.testing.assert_allclose([fitted(c) for c in contexts],
+                                   [predict(c) for c in contexts], **ROUNDING)
+        exported = fitted.to_dict()
+        assert exported["offset"] == fitted.offset.tolist()
+        assert [s["id"] for s in exported["stages"]] == [h.name for _, h in components]
+        np.testing.assert_allclose([s["coef"] for s in exported["stages"]],
+                                   [coef for coef, _ in components], **ROUNDING)
 
     def test_each_hypothesis_called_once_per_atom(self, rng):
         oracle = _box_oracle(rng, n_atoms=10)
@@ -383,13 +432,34 @@ class TestTabulatedFit:
         fitted = fit_boosted_hypothesis(oracle, recorder, self.box,
                                         n_stages=self.n_stages, gamma=0.5,
                                         stage_budget=1, lipschitz=20.0)
-        components, predict, lifted, _ = _reference_fit(
+        components, predict, lifted, expected_risks = _reference_fit(
             oracle, _box_hyps(), self.box, self.n_stages, 0.5, 20.0)
+        assert [h.name for h in recorder.learned] == \
+            [f"erm[{int(np.argmin(r))}]" for r in expected_risks]
         for support, directions in zip(recorder.lifted, lifted):
-            np.testing.assert_array_equal([lin.direction for lin, _, _ in support],
-                                          directions)
+            np.testing.assert_allclose([lin.direction for lin, _, _ in support],
+                                       directions, **ROUNDING)
         for _, c in atoms:
-            np.testing.assert_array_equal(fitted(c), predict(c))
+            np.testing.assert_allclose(fitted(c), predict(c), **ROUNDING)
+
+    def test_prediction_calls_each_distinct_base_once(self, rng, monkeypatch):
+        recorder = _Recorder(_box_hyps(), 0.5)
+        fitted = fit_boosted_hypothesis(_box_oracle(rng, n_atoms=10), recorder,
+                                        self.box, n_stages=self.n_stages, gamma=0.5,
+                                        stage_budget=1, lipschitz=20.0)
+        chosen = {h.base.name for h in recorder.learned[1:]}  # stage 0 weighs 0
+        assert len(chosen) < self.n_stages - 1  # a base picked at several stages
+        assert len(fitted.coefs) == len(fitted.bases) == len(chosen) <= 8
+        calls = []
+        call = _TanhHypothesis.__call__
+
+        def counted(self, context):
+            calls.append(self.name)
+            return call(self, context)
+
+        monkeypatch.setattr(_TanhHypothesis, "__call__", counted)
+        fitted(rng.standard_normal(2))
+        assert sorted(calls) == sorted(chosen)
 
     def test_fit_leaves_callers_objects_as_they_were(self, rng):
         oracle = _box_oracle(rng)
