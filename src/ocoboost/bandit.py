@@ -18,10 +18,8 @@ import numpy as np
 
 from .booster import BoosterConfig, OnlineBooster, RoundTrajectory
 from .errors import ConfigError, NonFiniteInput, ProtocolError
-from .geometry import DecisionSet, as_point, row_norms
+from .geometry import MEMBERSHIP_TOL, DecisionSet, as_point, row_norms
 from .losses import LinearLoss
-
-SIMPLEX_CONTAINMENT_TOL = 1e-9
 
 
 def default_explore_rate(d: int, horizon: int, n_learners: int, gamma: float,
@@ -67,7 +65,7 @@ def verify_simplex_containment(set_: DecisionSet) -> None:
     """Require every coordinate basis vector to project to itself."""
     basis = np.eye(set_.dim)
     gaps = row_norms(basis - set_._project(basis))
-    far = np.flatnonzero(~(gaps <= SIMPLEX_CONTAINMENT_TOL))
+    far = np.flatnonzero(~(gaps <= MEMBERSHIP_TOL))
     if far.size:
         i = int(far[0])
         raise ConfigError(

@@ -63,7 +63,6 @@ class FiniteSupportOracle(SampleOracle):
                 or not np.all(np.isfinite(self.probs)) \
                 or abs(self.probs.sum() - 1.0) > 1e-12:
             raise ConfigError("probs must be a distribution over the atoms")
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
 
     def draw(self):

@@ -3,10 +3,13 @@
 Every learner maps contexts to members of its (recentered) decision set,
 consumes linear losses one round at a time, and is deterministic given its
 seed and input sequence. ``gamma`` is a declared configuration input, not
-estimated.
+estimated; ``WeakLearner.__init__`` requires it to lie in (0, 1].
 
 The practical learners (stump, ridge, tiny MLP) are online regressors in
-the gradient-boosting mold. Each keeps a full-scale internal predictor u
+the gradient-boosting mold. They share one base, ``_Regressor``, which
+checks ``feature_dim`` (an integer >= 1) and ``anchor``. A stump update
+credits the context's cell in every feature as one array step. Each
+regressor keeps a full-scale internal predictor u
 and plays the projection of gamma * u(c). A linear loss with direction g
 is read as the gradient of a square loss at a stage point the learner can
 reconstruct: the point is 0 for ``anchor="zero"`` (true for the first
@@ -42,14 +45,17 @@ def _loss_vector(loss, dim):
 
 
 class WeakLearner:
-    """Stateful contextual predictor updated with linear losses."""
+    """Stateful contextual predictor updated with linear losses, playing
+    with the edge ``gamma`` in (0, 1]."""
 
-    gamma: float = 1.0
     feature_dim: int | None = None  # the context size, where one is required
 
-    def __init__(self, set_: DecisionSet):
+    def __init__(self, set_: DecisionSet, gamma: float = 1.0):
+        if not 0.0 < gamma <= 1.0:
+            raise ConfigError("gamma must be in (0, 1]")
         self.set_ = set_
         self.action_dim = set_.dim
+        self.gamma = float(gamma)
         self.rounds = 0
         self._last_context = None
 
@@ -80,10 +86,6 @@ class WeakLearner:
 class UniformBaseline(WeakLearner):
     """Plays the set centroid regardless of context (the uniform-guess action)."""
 
-    def __init__(self, set_: DecisionSet, gamma: float = 1.0):
-        super().__init__(set_)
-        self.gamma = float(gamma)
-
     def predict(self, context) -> np.ndarray:
         self._remember(context)
         return self.set_.centroid
@@ -105,17 +107,14 @@ class ScaledLeaderOracle(WeakLearner):
 
     def __init__(self, hypotheses, gamma: float, set_: DecisionSet,
                  mode: str = "ftl", scale: float = 1.0):
-        super().__init__(set_)
+        super().__init__(set_, gamma)
         if not hypotheses:
             raise ConfigError("need at least one hypothesis")
-        if not 0.0 < gamma <= 1.0:
-            raise ConfigError("gamma must be in (0, 1]")
         if mode not in ("ftl", "hedge"):
             raise ConfigError(f"unknown oracle mode '{mode}'")
-        if scale <= 0:
-            raise ConfigError("scale must be positive")
+        if not 0.0 < scale < np.inf:
+            raise ConfigError("scale must be positive and finite")
         self.hypotheses = list(hypotheses)
-        self.gamma = float(gamma)
         self.mode = mode
         self.scale = float(scale)
         self.cum_losses = np.zeros(len(self.hypotheses))
@@ -239,49 +238,53 @@ MLP_HIDDEN = 1  # hidden units of TinyMlp
 STEP_POWER = 0.25  # OnlineRidge and TinyMlp step at round t: step / t^STEP_POWER
 
 
-class DecisionStump(WeakLearner):
+class _Regressor(WeakLearner):
+    """The settings the online regressors share: the context size, an
+    integer >= 1, and the ``anchor`` of their implied regression target."""
+
+    def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float,
+                 anchor: str):
+        super().__init__(set_, gamma)
+        if not isinstance(feature_dim, (int, np.integer)) or feature_dim < 1:
+            raise ConfigError(f"feature_dim={feature_dim} is not an integer >= 1")
+        if anchor not in ("self", "zero"):
+            raise ConfigError(f"unknown anchor '{anchor}'")
+        self.feature_dim = int(feature_dim)
+        self.anchor = anchor
+
+
+class DecisionStump(_Regressor):
     """Single-feature threshold predictor over quantile bins.
 
     Thresholds come from a warm-up buffer of ``STUMP_WARMUP`` rounds: the
-    ``STUMP_BINS - 1`` quantile bin edges of each feature. After warm-up
-    each (feature, bin) cell holds a leaf action; the feature to split on
-    follows the leader by accumulated realized linear loss. During warm-up
-    the stump plays the centroid.
+    ``STUMP_BINS - 1`` quantile bin edges of each feature, one row of
+    ``edges`` per feature. After warm-up each (feature, bin) cell holds a
+    leaf action; the feature to split on follows the leader by accumulated
+    realized linear loss. During warm-up the stump plays the centroid.
 
     Each cell's internal leaf is the running mean of the targets implied by
     its linear losses, and the stump plays the projection of gamma times
-    that leaf.
+    that leaf. An update credits the context's cell in every feature as one
+    array step.
     """
 
     def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
                  anchor: str = "self"):
-        super().__init__(set_)
-        if feature_dim < 1:
-            raise ConfigError("feature_dim must be >= 1")
-        if anchor not in ("self", "zero"):
-            raise ConfigError(f"unknown anchor '{anchor}'")
-        self.feature_dim = int(feature_dim)
-        self.gamma = float(gamma)
-        self.anchor = anchor
+        super().__init__(feature_dim, set_, gamma, anchor)
         self._buffer = []
         self.edges = None
+        self._features = np.arange(self.feature_dim)
         self.counts = np.zeros((self.feature_dim, STUMP_BINS), dtype=np.int64)
         self.leaves = np.zeros((self.feature_dim, STUMP_BINS, self.action_dim))
         self.feat_loss = np.zeros(self.feature_dim)
-
-    def _bin_index(self, feature: int, value: float) -> int:
-        return int(np.searchsorted(self.edges[feature], value, side="right"))
-
-    def _leaf_action(self, feature: int, bin_: int) -> np.ndarray:
-        return self.set_._project(self.gamma * self.leaves[feature, bin_])
 
     def predict(self, context) -> np.ndarray:
         c = self._remember(context)
         if self.edges is None:
             return self.set_.centroid
         j = int(np.argmin(self.feat_loss))
-        b = self._bin_index(j, c[j])
-        return self._leaf_action(j, b)
+        b = int(np.searchsorted(self.edges[j], c[j], side="right"))
+        return self.set_._project(self.gamma * self.leaves[j, b])
 
     def _apply_update(self, context, g):
         if self.edges is None:
@@ -294,36 +297,32 @@ class DecisionStump(WeakLearner):
     def _finish_warmup(self):
         data = np.stack([c for c, _ in self._buffer])
         qs = np.arange(1, STUMP_BINS) / STUMP_BINS
-        self.edges = [np.quantile(data[:, j], qs) for j in range(self.feature_dim)]
+        self.edges = np.quantile(data, qs, axis=0).T
         for c, g in self._buffer:
             self._credit(c, g)
         self._buffer = []
 
     def _credit(self, context, g):
-        for j in range(self.feature_dim):
-            b = self._bin_index(j, context[j])
-            self.feat_loss[j] += float(g @ self._leaf_action(j, b))
-            self.counts[j, b] += 1
-            leaf = self.leaves[j, b]
-            base = leaf if self.anchor == "self" else 0.0
-            target = base - 0.5 * g
-            self.leaves[j, b] = leaf + (target - leaf) / self.counts[j, b]
+        # each feature's bin counts its edges <= the context, as
+        # searchsorted(side="right") does
+        cells = (self._features, (self.edges <= context[:, None]).sum(axis=1))
+        leaves = self.leaves[cells]
+        self.feat_loss += np.vecdot(self.set_._project(self.gamma * leaves), g)
+        self.counts[cells] += 1
+        base = leaves if self.anchor == "self" else 0.0
+        target = base - 0.5 * g
+        self.leaves[cells] = leaves + (target - leaves) / self.counts[cells][:, None]
 
 
-class OnlineRidge(WeakLearner):
+class OnlineRidge(_Regressor):
     """Linear model fit online to the targets implied by its linear losses,
     with the l2 penalty ``RIDGE_L2`` and the inverse-scaling step schedule
     step / t^``STEP_POWER``."""
 
     def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
                  step: float = 0.01, anchor: str = "self"):
-        super().__init__(set_)
-        if anchor not in ("self", "zero"):
-            raise ConfigError(f"unknown anchor '{anchor}'")
-        self.feature_dim = int(feature_dim)
-        self.gamma = float(gamma)
+        super().__init__(feature_dim, set_, gamma, anchor)
         self.step = float(step)
-        self.anchor = anchor
         self.weights = np.zeros((self.action_dim, self.feature_dim))
         self.bias = np.zeros(self.action_dim)
 
@@ -342,21 +341,16 @@ class OnlineRidge(WeakLearner):
         self.bias -= lr * (err + RIDGE_L2 * self.bias)
 
 
-class TinyMlp(WeakLearner):
+class TinyMlp(_Regressor):
     """One-hidden-unit tanh network fit online to the targets implied by
     its linear losses, with the same inverse-scaling step schedule as the
     ridge learner."""
 
     def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
                  step: float = 0.01, seed: int = 0, anchor: str = "self"):
-        super().__init__(set_)
-        if anchor not in ("self", "zero"):
-            raise ConfigError(f"unknown anchor '{anchor}'")
-        self.feature_dim = int(feature_dim)
-        self.gamma = float(gamma)
+        super().__init__(feature_dim, set_, gamma, anchor)
         self.step = float(step)
         self.seed = int(seed)
-        self.anchor = anchor
         rng = np.random.default_rng(self.seed)
         self.w1 = 0.1 * rng.standard_normal((MLP_HIDDEN, self.feature_dim))
         self.b1 = np.zeros(MLP_HIDDEN)

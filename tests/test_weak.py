@@ -3,7 +3,7 @@ import pytest
 
 from ocoboost.errors import (ConfigError, DimensionMismatch, NonFiniteInput,
                              ProtocolError)
-from ocoboost.geometry import Ball, Interval, Simplex
+from ocoboost.geometry import Ball, Box, Interval, Simplex
 from ocoboost.losses import LinearLoss
 from ocoboost.weak import (STUMP_BINS, STUMP_WARMUP, DecisionStump, OnlineRidge,
                            ScaledLeaderOracle, TinyMlp, UniformBaseline,
@@ -320,3 +320,98 @@ def test_empirical_gamma_regret_rejects_used_learner(rng):
             learner.update(LinearLoss([1.0, 0.0]))
         with pytest.raises(ConfigError, match="not played"):
             empirical_gamma_regret(learner, transcript, hyps)
+
+
+class _LoopStump(DecisionStump):
+    """The stump's per-feature credit written one feature at a time, as a
+    reference: per-feature quantile edges, a ``searchsorted`` bin, and one
+    projection, dot product and leaf update per feature."""
+
+    def _finish_warmup(self):
+        data = np.stack([c for c, _ in self._buffer])
+        qs = np.arange(1, STUMP_BINS) / STUMP_BINS
+        self.edges = [np.quantile(data[:, j], qs) for j in range(self.feature_dim)]
+        for c, g in self._buffer:
+            self._credit(c, g)
+        self._buffer = []
+
+    def _credit(self, context, g):
+        for j in range(self.feature_dim):
+            b = int(np.searchsorted(self.edges[j], context[j], side="right"))
+            action = self.set_._project(self.gamma * self.leaves[j, b])
+            self.feat_loss[j] += float(g @ action)
+            self.counts[j, b] += 1
+            leaf = self.leaves[j, b]
+            base = leaf if self.anchor == "self" else 0.0
+            target = base - 0.5 * g
+            self.leaves[j, b] = leaf + (target - leaf) / self.counts[j, b]
+
+
+@pytest.mark.parametrize("anchor", ["self", "zero"])
+@pytest.mark.parametrize("features", [1, 6])
+@pytest.mark.parametrize("set_", [Interval(-1.0, 1.0), Box([-1.0, 0.0], [1.0, 2.0])],
+                         ids=["interval", "box2d"])
+def test_array_credit_matches_the_per_feature_loop(rng, set_, features, anchor):
+    # contexts on a grid of a few values put many quantile edges on a
+    # context, and after warm-up half the contexts are edges themselves:
+    # ties, where counting edges <= c must agree with searchsorted
+    set_c, _ = set_.recenter()
+    stump = DecisionStump(features, set_c, 0.5, anchor=anchor)
+    loop = _LoopStump(features, set_c, 0.5, anchor=anchor)
+    for t in range(STUMP_WARMUP + 150):
+        c = rng.integers(-2, 3, features) / 2.0
+        if loop.edges is not None and t % 2:
+            c = np.array([edges[k] for edges, k in
+                          zip(loop.edges, rng.integers(0, STUMP_BINS - 1, features))])
+        np.testing.assert_array_equal(stump.predict(c), loop.predict(c))
+        g = 3.0 * rng.standard_normal(set_c.dim)
+        stump.update(g)
+        loop.update(g)
+        np.testing.assert_array_equal(stump.leaves, loop.leaves)
+        np.testing.assert_array_equal(stump.counts, loop.counts)
+        np.testing.assert_array_equal(stump.feat_loss, loop.feat_loss)
+    np.testing.assert_array_equal(stump.edges, np.array(loop.edges))
+
+
+_REGRESSORS = {
+    "stump": lambda f, s, **kw: DecisionStump(f, s, **kw),
+    "ridge": lambda f, s, **kw: OnlineRidge(f, s, **kw),
+    "mlp": lambda f, s, **kw: TinyMlp(f, s, seed=3, **kw),
+}
+
+
+@pytest.mark.parametrize("feature_dim", [-1, 0, 2.5, 3.0, "3"])
+@pytest.mark.parametrize("kind", list(_REGRESSORS))
+def test_regressor_rejects_a_bad_feature_dim(kind, feature_dim):
+    with pytest.raises(ConfigError, match="feature_dim"):
+        _REGRESSORS[kind](feature_dim, Interval(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("kind", list(_REGRESSORS))
+def test_regressor_accepts_a_numpy_integer_feature_dim(kind):
+    learner = _REGRESSORS[kind](np.int64(3), Interval(-1.0, 1.0))
+    assert learner.feature_dim == 3 and type(learner.feature_dim) is int
+    learner.predict(np.ones(3))
+    learner.update(LinearLoss([0.5]))
+
+
+_GAMMA_LEARNERS = {
+    "uniform": lambda s, gamma: UniformBaseline(s, gamma=gamma),
+    "leader": lambda s, gamma: ScaledLeaderOracle(_LEADER_HYPOTHESES, gamma, s),
+    **{kind: lambda s, gamma, make=make: make(2, s, gamma=gamma)
+       for kind, make in _REGRESSORS.items()},
+}
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, 1.5, np.nan])
+@pytest.mark.parametrize("kind", list(_GAMMA_LEARNERS))
+def test_learner_rejects_gamma_outside_unit_interval(kind, gamma):
+    with pytest.raises(ConfigError, match="gamma"):
+        _GAMMA_LEARNERS[kind](Ball(2, 1.0), gamma)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+def test_leader_rejects_a_scale_that_is_not_positive_and_finite(scale):
+    with pytest.raises(ConfigError, match="scale"):
+        ScaledLeaderOracle(_LEADER_HYPOTHESES, 0.5, Ball(2, 1.0), mode="hedge",
+                           scale=scale)
