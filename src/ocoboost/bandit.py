@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .booster import BoosterConfig, OnlineBooster, RoundTrajectory
-from .errors import ConfigError, NonFiniteInput, ProtocolError
+from .errors import ConfigError, NonFiniteInput, ProtocolError, check_gamma
 from .geometry import MEMBERSHIP_TOL, DecisionSet, as_point, row_norms
 from .losses import LinearLoss
 
@@ -31,8 +31,7 @@ def default_explore_rate(d: int, horizon: int, n_learners: int, gamma: float,
     """
     if d < 1 or horizon < 1 or n_learners < 1:
         raise ConfigError("d, horizon, and n_learners must be positive")
-    if not 0.0 < gamma <= 1.0:
-        raise ConfigError("gamma must be in (0, 1]")
+    check_gamma(gamma)
     if weak_regret_bound < 0:
         raise ConfigError("weak_regret_bound must be nonnegative")
     a = 4.0 * d * horizon / (gamma * np.sqrt(n_learners)) \

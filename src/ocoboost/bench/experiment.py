@@ -12,13 +12,12 @@ All rounds count toward cumulative loss, including any warm-up phase.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..booster import BoosterConfig, OnlineBooster
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, check_gamma, check_positive
 from ..extension import default_delta
 from ..geometry import Interval
 from ..losses import LinearLoss, QuadraticLoss
@@ -49,10 +48,8 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError("gamma must be in (0, 1]")
-        if not 0.0 < self.step < math.inf:
-            raise ConfigError(f"step must be positive and finite, got {self.step}")
+        check_gamma(self.gamma)
+        check_positive("step", self.step)
         bad = [k for k in self.learners if k not in LEARNER_LABELS]
         if bad:
             raise ConfigError(f"unknown learner kinds: {bad}")

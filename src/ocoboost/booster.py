@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteInput, ProtocolError
+from .errors import ConfigError, NonFiniteInput, ProtocolError, check_gamma
 from .extension import ExtendedLoss, default_delta
 from .geometry import DecisionSet, as_point, row_norms
 from .losses import ConvexLoss, ShiftedLoss
-from .weak import LeaderBank, LearnerList
+from .weak import bank_for
 
 
 def stage_weights(n: int, gamma: float) -> np.ndarray:
@@ -50,8 +50,7 @@ class BoosterConfig:
     def __post_init__(self):
         if not isinstance(self.n_learners, (int, np.integer)) or self.n_learners < 1:
             raise ConfigError(f"n_learners={self.n_learners} is not an integer >= 1")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError("gamma must be in (0, 1]")
+        check_gamma(self.gamma)
         if not 0 < self.lipschitz < math.inf:
             raise ConfigError("lipschitz must be positive and finite, "
                               f"got {self.lipschitz}")
@@ -95,9 +94,7 @@ class OnlineBooster:
         self.weights = stage_weights(config.n_learners, config.gamma)
         self.learners = [learner_factory(i, self.set_c)
                          for i in range(config.n_learners)]
-        # a round drives every learner through one bank object
-        self.bank = (LeaderBank(self.learners) if LeaderBank.admits(self.learners)
-                     else LearnerList(self.learners, self.set_c.dim))
+        self.bank = bank_for(self.learners, self.set_c.dim)
 
         self.delta, self.kappa = config.smoothing(set_.diameter)
         self.rounds_done = 0

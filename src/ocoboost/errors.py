@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and two shared settings checks."""
 
 
 class OcoBoostError(Exception):
@@ -32,3 +32,16 @@ class StageError(OcoBoostError, RuntimeError):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
 
+
+def check_gamma(gamma) -> float:
+    """``gamma`` as a float; ``ConfigError`` unless it lies in (0, 1]."""
+    if not 0.0 < gamma <= 1.0:
+        raise ConfigError("gamma must be in (0, 1]")
+    return float(gamma)
+
+
+def check_positive(name: str, value) -> float:
+    """``value`` as a float; ``ConfigError`` unless 0 < value < inf."""
+    if not 0.0 < value < float("inf"):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return float(value)

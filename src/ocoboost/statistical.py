@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .booster import BoosterConfig, stage_weights
-from .errors import ConfigError, NonFiniteInput, StageError
+from .errors import ConfigError, NonFiniteInput, StageError, check_gamma
 from .extension import ExtendedLoss
 from .geometry import DecisionSet, as_point
 from .losses import LinearLoss
@@ -262,10 +262,8 @@ class ErmWeakOptimizer:
     def __init__(self, hypotheses, gamma: float, exact: bool = False):
         if not hypotheses:
             raise ConfigError("need at least one hypothesis")
-        if not 0.0 < gamma <= 1.0:
-            raise ConfigError("gamma must be in (0, 1]")
+        self.gamma = check_gamma(gamma)
         self.hypotheses = list(hypotheses)
-        self.gamma = float(gamma)
         self.exact = exact
 
     def solve(self, oracle: SampleOracle, budget: int):

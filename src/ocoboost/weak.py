@@ -7,9 +7,8 @@ estimated; ``WeakLearner.__init__`` requires it to lie in (0, 1].
 
 The practical learners (stump, ridge, tiny MLP) are online regressors in
 the gradient-boosting mold. They share one base, ``_Regressor``, which
-checks ``feature_dim`` (an integer >= 1) and ``anchor``. A stump update
-credits the context's cell in every feature as one array step. Each
-regressor keeps a full-scale internal predictor u
+checks ``feature_dim`` (an integer >= 1) and ``anchor``. Each regressor
+keeps a full-scale internal predictor u
 and plays the projection of gamma * u(c). A linear loss with direction g
 is read as the gradient of a square loss at a stage point the learner can
 reconstruct: the point is 0 for ``anchor="zero"`` (true for the first
@@ -21,16 +20,17 @@ directly has no equilibrium, so parameters saturate and the boosted
 feedback loop destabilizes; the regression form is self-stabilizing.
 ``ScaledLeaderOracle`` is the exact-edge learner the test suite uses: it
 tracks a finite hypothesis class on the raw linear losses and plays gamma
-times the leader (or a hedged mixture). A booster runs N leader oracles
-with one set of settings as one ``LeaderBank``, and any other learners
-through a ``LearnerList``, one call at a time.
+times the leader (or a hedged mixture). ``bank_for`` runs a booster's leader
+oracles with one set of settings as one ``LeaderBank``, its stumps with one
+context size, gamma and set as one ``StumpBank`` with shared bins, and any
+other learners through a ``LearnerList``, one call at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, check_gamma, check_positive
 from .geometry import DecisionSet, as_point
 from .losses import LinearLoss
 
@@ -51,11 +51,9 @@ class WeakLearner:
     feature_dim: int | None = None  # the context size, where one is required
 
     def __init__(self, set_: DecisionSet, gamma: float = 1.0):
-        if not 0.0 < gamma <= 1.0:
-            raise ConfigError("gamma must be in (0, 1]")
+        self.gamma = check_gamma(gamma)
         self.set_ = set_
         self.action_dim = set_.dim
-        self.gamma = float(gamma)
         self.rounds = 0
         self._last_context = None
 
@@ -183,16 +181,13 @@ class LeaderBank:
 
     @staticmethod
     def admits(learners) -> bool:
-        """Whether every learner is a plain ``ScaledLeaderOracle`` (neither
-        subclassed nor with ``predict`` or ``update`` replaced on the
-        instance) with the first one's settings."""
+        """Whether every learner is a plain ``ScaledLeaderOracle`` with the
+        first one's settings."""
         first = learners[0]
-        if type(first) is not ScaledLeaderOracle:
+        if not _plain(first, ScaledLeaderOracle):
             return False
         settings = (first.gamma, first.mode, first.scale, first.rounds)
-        return all(type(learner) is ScaledLeaderOracle
-                   and "predict" not in vars(learner)
-                   and "update" not in vars(learner)
+        return all(_plain(learner, ScaledLeaderOracle)
                    and learner.hypotheses == first.hypotheses
                    and (learner.gamma, learner.mode, learner.scale,
                         learner.rounds) == settings
@@ -211,6 +206,12 @@ class LeaderBank:
         self._actions = None
         for learner in self.learners:
             learner.rounds += 1
+
+
+def _plain(learner, cls) -> bool:
+    """Whether ``learner`` is a ``cls``, not a subclass, with neither
+    ``predict`` nor ``update`` replaced on the instance (as a tracer does)."""
+    return type(learner) is cls and vars(learner).keys().isdisjoint(("predict", "update"))
 
 
 class LearnerList:
@@ -253,38 +254,10 @@ class _Regressor(WeakLearner):
         self.anchor = anchor
 
 
-class DecisionStump(_Regressor):
-    """Single-feature threshold predictor over quantile bins.
-
-    Thresholds come from a warm-up buffer of ``STUMP_WARMUP`` rounds: the
-    ``STUMP_BINS - 1`` quantile bin edges of each feature, one row of
-    ``edges`` per feature. After warm-up each (feature, bin) cell holds a
-    leaf action; the feature to split on follows the leader by accumulated
-    realized linear loss. During warm-up the stump plays the centroid.
-
-    Each cell's internal leaf is the running mean of the targets implied by
-    its linear losses, and the stump plays the projection of gamma times
-    that leaf. An update credits the context's cell in every feature as one
-    array step.
-    """
-
-    def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
-                 anchor: str = "self"):
-        super().__init__(feature_dim, set_, gamma, anchor)
-        self._buffer = []
-        self.edges = None
-        self._features = np.arange(self.feature_dim)
-        self.counts = np.zeros((self.feature_dim, STUMP_BINS), dtype=np.int64)
-        self.leaves = np.zeros((self.feature_dim, STUMP_BINS, self.action_dim))
-        self.feat_loss = np.zeros(self.feature_dim)
-
-    def predict(self, context) -> np.ndarray:
-        c = self._remember(context)
-        if self.edges is None:
-            return self.set_.centroid
-        j = int(np.argmin(self.feat_loss))
-        b = int(np.searchsorted(self.edges[j], c[j], side="right"))
-        return self.set_._project(self.gamma * self.leaves[j, b])
+class _StumpWarmup:
+    """The warm-up of a ``DecisionStump`` and of a ``StumpBank``: buffer the
+    first ``STUMP_WARMUP`` (context, loss) pairs, set the bin edges from
+    their contexts, then ``_credit`` the pairs in order."""
 
     def _apply_update(self, context, g):
         if self.edges is None:
@@ -302,16 +275,134 @@ class DecisionStump(_Regressor):
             self._credit(c, g)
         self._buffer = []
 
+
+class DecisionStump(_StumpWarmup, _Regressor):
+    """Single-feature threshold predictor over quantile bins.
+
+    Thresholds come from a warm-up buffer of ``STUMP_WARMUP`` rounds: the
+    ``STUMP_BINS - 1`` quantile bin edges of each feature, one row of
+    ``edges`` per feature. After warm-up each (feature, bin) cell holds a
+    leaf action; the feature to split on follows the leader by accumulated
+    realized linear loss. During warm-up the stump plays the centroid.
+
+    Each cell's internal leaf is the running mean of the targets implied by
+    its linear losses, and the stump plays the projection of gamma times
+    that leaf. It plays and credits as the one-row case of ``StumpBank``.
+    """
+
+    def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
+                 anchor: str = "self"):
+        super().__init__(feature_dim, set_, gamma, anchor)
+        self._buffer = []
+        self.edges = None
+        self._self_anchor = np.array([self.anchor == "self"])
+        self.counts = np.zeros((self.feature_dim, STUMP_BINS), dtype=np.int64)
+        self.leaves = np.zeros((self.feature_dim, STUMP_BINS, self.action_dim))
+        self.feat_loss = np.zeros(self.feature_dim)
+
+    def predict(self, context) -> np.ndarray:
+        c = self._remember(context)
+        if self.edges is None:
+            return self.set_.centroid
+        return _stump_plays(self.set_, self.gamma, self.leaves[None],
+                            self.feat_loss[None], self.edges, c)[0]
+
     def _credit(self, context, g):
-        # each feature's bin counts its edges <= the context, as
-        # searchsorted(side="right") does
-        cells = (self._features, (self.edges <= context[:, None]).sum(axis=1))
-        leaves = self.leaves[cells]
-        self.feat_loss += np.vecdot(self.set_._project(self.gamma * leaves), g)
-        self.counts[cells] += 1
-        base = leaves if self.anchor == "self" else 0.0
-        target = base - 0.5 * g
-        self.leaves[cells] = leaves + (target - leaves) / self.counts[cells][:, None]
+        _credit_stumps(self.set_, self.gamma, self._self_anchor, self.leaves[None],
+                       self.counts[None], self.feat_loss[None], self.edges,
+                       context, g[None])
+
+
+def _stump_plays(set_, gamma, leaves, feat_loss, edges, c) -> np.ndarray:
+    """The (n, d) plays at context ``c`` of n stumps with (n, F, B, d)
+    ``leaves`` and (n, F) feature losses: gamma times the leaf of each row's
+    leading feature, projected. A bin counts the edges <= c, as
+    ``searchsorted(side="right")`` does."""
+    j = feat_loss.argmin(axis=1)
+    bins = (edges <= c[:, None]).sum(axis=1)
+    return set_._project(gamma * leaves[np.arange(len(j)), j, bins[j]])
+
+
+def _credit_stumps(set_, gamma, self_anchor, leaves, counts, feat_loss, edges, c,
+                   G) -> None:
+    """Feed stump i the loss direction ``G[i]``, in place: the context's cell
+    in every feature adds its play's linear loss to the feature's loss and
+    moves its leaf to the running mean of the targets ``anchor - G[i] / 2``,
+    with the leaf as anchor where ``self_anchor[i]`` holds, else 0."""
+    n, F = feat_loss.shape
+    cells = (np.arange(n)[:, None], np.arange(F), (edges <= c[:, None]).sum(axis=1))
+    L = leaves[cells]  # (n, F, d)
+    feat_loss += np.vecdot(set_._project(gamma * L.reshape(n * F, -1)).reshape(L.shape),
+                           G[:, None])
+    k = counts[cells] + 1
+    counts[cells] = k
+    target = np.where(self_anchor[:, None, None], L, 0.0) - 0.5 * G[:, None]
+    leaves[cells] = L + (target - L) / k[..., None]
+
+
+class StumpBank(_StumpWarmup):
+    """N plain ``DecisionStump``s with one context size, gamma and set, run
+    as (N, F, B, d) leaves, (N, F, B) counts and (N, F) feature losses whose
+    rows are the learners' own arrays. They share one warm-up buffer, one
+    set of edges and each round's bins. A round is one array step to play
+    and one to credit, with the learners' bits, and advances their rounds."""
+
+    def __init__(self, learners):
+        self.learners, first = learners, learners[0]
+        self.set_, self.gamma, self.feature_dim = first.set_, first.gamma, first.feature_dim
+        self.self_anchor = np.concatenate([learner._self_anchor for learner in learners])
+        for name in ("leaves", "counts", "feat_loss"):  # the learners' rows
+            setattr(self, name, np.array([getattr(learner, name) for learner in learners]))
+            for learner, row in zip(learners, getattr(self, name)):
+                setattr(learner, name, row)
+        self._buffer, self.edges, self._context = [], None, None
+
+    @staticmethod
+    def admits(learners) -> bool:
+        """Whether every learner is a plain ``DecisionStump`` with the first
+        one's context size, gamma and set, and none has played a round."""
+        first = learners[0]
+        if not _plain(first, DecisionStump):
+            return False
+        settings = (first.feature_dim, first.gamma, first.set_, 0)
+        return all(_plain(learner, DecisionStump) and settings == (
+                       learner.feature_dim, learner.gamma, learner.set_, learner.rounds)
+                   for learner in learners)
+
+    def predict_all(self, context) -> np.ndarray:
+        self._context = None  # a rejected context leaves no round
+        self._context = as_point(context, self.feature_dim, "context")
+        if self.edges is None:
+            return np.full((len(self.learners), self.set_.dim), self.set_.centroid)
+        return _stump_plays(self.set_, self.gamma, self.leaves, self.feat_loss,
+                            self.edges, self._context)
+
+    def update_all(self, G) -> None:
+        """Feed row i of the (N, d) gradients to stump i."""
+        if self._context is None:
+            raise ProtocolError("update without a preceding predict")
+        self._apply_update(self._context, G)
+        self._context = None
+        for learner in self.learners:
+            learner.rounds += 1
+
+    def _finish_warmup(self):
+        super()._finish_warmup()
+        for learner in self.learners:
+            learner.edges = self.edges
+
+    def _credit(self, c, G):
+        _credit_stumps(self.set_, self.gamma, self.self_anchor, self.leaves,
+                       self.counts, self.feat_loss, self.edges, c, G)
+
+
+def bank_for(learners, dim: int):
+    """The ``LeaderBank`` or ``StumpBank`` that admits ``learners``, else a
+    ``LearnerList``: the one object a booster's round drives them through."""
+    for bank in (LeaderBank, StumpBank):
+        if bank.admits(learners):
+            return bank(learners)
+    return LearnerList(learners, dim)
 
 
 class OnlineRidge(_Regressor):
@@ -322,7 +413,7 @@ class OnlineRidge(_Regressor):
     def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
                  step: float = 0.01, anchor: str = "self"):
         super().__init__(feature_dim, set_, gamma, anchor)
-        self.step = float(step)
+        self.step = check_positive("step", step)
         self.weights = np.zeros((self.action_dim, self.feature_dim))
         self.bias = np.zeros(self.action_dim)
 
@@ -349,7 +440,7 @@ class TinyMlp(_Regressor):
     def __init__(self, feature_dim: int, set_: DecisionSet, gamma: float = 1.0,
                  step: float = 0.01, seed: int = 0, anchor: str = "self"):
         super().__init__(feature_dim, set_, gamma, anchor)
-        self.step = float(step)
+        self.step = check_positive("step", step)
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
         self.w1 = 0.1 * rng.standard_normal((MLP_HIDDEN, self.feature_dim))

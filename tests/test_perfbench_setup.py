@@ -50,3 +50,23 @@ def test_bandit_workload_banks_and_plays_the_traced_points(workloads, tmp_path):
     for played in (untraced, traced):
         assert played.failed == 0 and not played.problems, played.problems
     assert untraced.digest == traced.digest
+
+
+def test_stump_workload_banks_and_plays_the_traced_points(workloads, tmp_path):
+    """The untraced stump pass runs its 5 decision stumps as one bank; the
+    traced pass wraps each learner, so it runs them one at a time. Both must
+    be correct and play the same points."""
+    from ocoboost.weak import LearnerList, StumpBank
+    from tracing import Tracer
+
+    w = workloads.WORKLOADS["regress-stump-n5"](0, tmp_path)
+    system = w.setup()
+    assert isinstance(system[0].bank, StumpBank)
+    untraced = w.play(system)
+    tracer = Tracer()
+    system = w.setup(tracer)
+    assert isinstance(system[0].bank, LearnerList)
+    traced = w.play(system, tracer)
+    for played in (untraced, traced):
+        assert played.failed == 0 and not played.problems, played.problems
+    assert untraced.digest == traced.digest

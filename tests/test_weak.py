@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from ocoboost.bandit import default_explore_rate
+from ocoboost.bench.experiment import ExperimentConfig
+from ocoboost.booster import BoosterConfig
 from ocoboost.errors import (ConfigError, DimensionMismatch, NonFiniteInput,
                              ProtocolError)
 from ocoboost.geometry import Ball, Box, Interval, Simplex
 from ocoboost.losses import LinearLoss
+from ocoboost.statistical import ErmWeakOptimizer
 from ocoboost.weak import (STUMP_BINS, STUMP_WARMUP, DecisionStump, OnlineRidge,
                            ScaledLeaderOracle, TinyMlp, UniformBaseline,
                            empirical_gamma_regret)
@@ -415,3 +419,27 @@ def test_leader_rejects_a_scale_that_is_not_positive_and_finite(scale):
     with pytest.raises(ConfigError, match="scale"):
         ScaledLeaderOracle(_LEADER_HYPOTHESES, 0.5, Ball(2, 1.0), mode="hedge",
                            scale=scale)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, np.inf, np.nan])
+@pytest.mark.parametrize("kind", ["ridge", "mlp"])
+def test_regressor_rejects_a_step_that_is_not_positive_and_finite(kind, step):
+    # a NaN step was accepted and the learner played [nan] from round 2 on
+    with pytest.raises(ConfigError, match="step must be positive and finite"):
+        _REGRESSORS[kind](2, Interval(-1.0, 1.0), step=step)
+
+
+_GAMMA_CHECKS = {
+    "learner": lambda gamma: UniformBaseline(Ball(2, 1.0), gamma=gamma),
+    "booster": lambda gamma: BoosterConfig(n_learners=2, gamma=gamma, lipschitz=1.0),
+    "explore-rate": lambda gamma: default_explore_rate(2, 10, 2, gamma),
+    "erm": lambda gamma: ErmWeakOptimizer([lambda c: np.zeros(1)], gamma),
+    "experiment": lambda gamma: ExperimentConfig("synthetic", gamma=gamma),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.5, np.nan])
+@pytest.mark.parametrize("site", list(_GAMMA_CHECKS))
+def test_every_gamma_check_raises_one_message(site, gamma):
+    with pytest.raises(ConfigError, match=r"^gamma must be in \(0, 1\]$"):
+        _GAMMA_CHECKS[site](gamma)

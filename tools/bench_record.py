@@ -1,0 +1,140 @@
+"""Record the benchmark of one source tree in a BENCH_<n>.json file, or
+compare two such files.
+
+    python3 tools/bench_record.py BENCH_<n>.json [--root DIR]
+    python3 tools/bench_record.py --compare BENCH_<m>.json BENCH_<n>.json
+
+Recording runs ``python3 perfbench/run.py --seconds 20 --seed 0`` in the
+checkout DIR (default: the one holding this script), first with --trace 0
+and then with --trace 1. The file keeps the git hashes of the checkout's
+``src`` and ``perfbench`` trees, the seed, the seconds, the Python and numpy
+versions, both runs' last JSON lines (the end-to-end and the per-layer
+metrics), each workload's played-points digest and its checked outputs.
+
+Comparing prints each metric's ratio new/old, marks an end-to-end metric
+that is worse than its ``BENCHMARK.json`` bound, and names every digest and
+checked output that changed. It exits with status 1 if a digest changed.
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SECONDS, SEED = 20.0, 0  # of every recording, so that any two BENCH files compare
+# "<workload>: <note>" lines of perfbench/run.py that are not checked outputs
+_NOT_CHECKS = re.compile(r" = |played-points sha256|passes|CHECK FAILED")
+
+
+def _git(root, *args, env=None):
+    return subprocess.run(["git", *args], cwd=root, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def tree_hashes(root: Path) -> dict:
+    """The git hashes of the working tree's ``src`` and ``perfbench`` trees,
+    uncommitted changes included, written through a temporary index."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        _git(root, "add", "-A", "src", "perfbench", env=env)
+        tree = _git(root, "write-tree", env=env)
+    return {part: _git(root, "rev-parse", f"{tree}:{part}")
+            for part in ("src", "perfbench")}
+
+
+def run(root: Path, trace: int):
+    """One run of the benchmark: (its last JSON line, digests, checks)."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--seconds", str(SECONDS),
+         "--seed", str(SEED), "--trace", str(trace)],
+        cwd=root, check=True, capture_output=True, text=True).stdout.splitlines()
+    digests, checks = {}, {}
+    for line in out[:-1]:
+        workload, _, note = line.partition(": ")
+        if note.startswith("played-points sha256 "):
+            digests[workload] = note.split()[-1]
+        elif not _NOT_CHECKS.search(note):
+            checks.setdefault(workload, []).append(note)
+    return json.loads(out[-1]), digests, checks
+
+
+def record(root: Path) -> dict:
+    import numpy
+
+    untraced, digests, checks = run(root, 0)
+    traced, traced_digests, traced_checks = run(root, 1)
+    if traced_digests != digests:
+        raise SystemExit("bench_record: the traced run played other points")
+    for workload, notes in traced_checks.items():
+        kept = checks.setdefault(workload, [])
+        kept += [note for note in notes if note not in kept]
+    return {"tree": tree_hashes(root), "seed": SEED, "seconds": SECONDS,
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "untraced": untraced, "traced": traced,
+            "digests": digests, "checks": checks}
+
+
+def compare(old: dict, new: dict, benchmark: dict) -> int:
+    """Print the comparison; return the number of changed digests."""
+    kinds = {m["name"]: m for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+    print(f"old: src {old['tree']['src'][:12]}, {old['seconds']} s, seed {old['seed']}")
+    print(f"new: src {new['tree']['src'][:12]}, {new['seconds']} s, seed {new['seed']}")
+    for run_name in ("untraced", "traced"):
+        print(f"\n{run_name} (correct: old {old[run_name]['correct']}, "
+              f"new {new[run_name]['correct']})")
+        old_metrics = old[run_name]["metrics"]
+        for key, entry in new[run_name]["metrics"].items():
+            if key not in old_metrics:
+                print(f"  {key}: {entry['value']:.6g} {entry['unit']} (new)")
+                continue
+            before, after = old_metrics[key]["value"], entry["value"]
+            ratio = after / before if before else float("nan")
+            line = (f"  {key}: {before:.6g} -> {after:.6g} {entry['unit']}"
+                    f"  x{ratio:.3f}")
+            kind = kinds.get(key.rpartition("/")[2], {})
+            if "bound" in kind:
+                worse = (ratio > 1 + kind["bound"] if kind["better"] == "lower"
+                         else ratio < 1 - kind["bound"])
+                line += f"  (bound {kind['bound']:.0%}{', WORSE' if worse else ''})"
+            print(line)
+    changed = 0
+    for workload in sorted(set(old["digests"]) | set(new["digests"])):
+        a, b = old["digests"].get(workload), new["digests"].get(workload)
+        if a != b:
+            changed += 1
+            print(f"digest changed: {workload}: {a} -> {b}")
+        if old["checks"].get(workload) != new["checks"].get(workload):
+            print(f"checked output changed: {workload}: "
+                  f"{old['checks'].get(workload)} -> {new['checks'].get(workload)}")
+    if not changed:
+        print("digests unchanged")
+    return changed
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", help="the BENCH_<n>.json to write")
+    parser.add_argument("--root", type=Path, default=ROOT,
+                        help="the checkout to measure (default: this one)")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two BENCH files instead of recording")
+    args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(p).read_text()) for p in args.compare)
+        benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+        return 1 if compare(old, new, benchmark) else 0
+    if args.out is None:
+        parser.error("give the file to write, or --compare OLD NEW")
+    result = record(args.root.resolve())
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
