@@ -14,8 +14,7 @@ from .losses import (CallableLoss, ConvexLoss, LinearLoss, QuadraticLoss,
 from .statistical import (BoostedHypothesis, CallableSampleOracle,
                           ConstantHypothesis, ErmWeakOptimizer,
                           FiniteSupportOracle, SampleOracle, ScaledHypothesis,
-                          exact_population_loss, fit_boosted_hypothesis,
-                          population_loss)
+                          exact_population_loss, fit_boosted_hypothesis)
 from .weak import (DecisionStump, OnlineRidge, ScaledLeaderOracle, TinyMlp,
                    UniformBaseline, WeakLearner, empirical_gamma_regret)
 
@@ -34,7 +33,6 @@ __all__ = [
     "BoostedHypothesis", "CallableSampleOracle", "ConstantHypothesis",
     "ErmWeakOptimizer", "FiniteSupportOracle", "SampleOracle",
     "ScaledHypothesis", "exact_population_loss", "fit_boosted_hypothesis",
-    "population_loss",
     "DecisionStump", "OnlineRidge", "ScaledLeaderOracle", "TinyMlp",
     "UniformBaseline", "WeakLearner", "empirical_gamma_regret",
     "__version__",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteInput, ProtocolError, check_gamma
+from .errors import ConfigError, NonFiniteInput, ProtocolError, check_gamma, check_positive
 from .extension import ExtendedLoss, default_delta
 from .geometry import DecisionSet, as_point, row_norms
 from .losses import ConvexLoss, ShiftedLoss
@@ -51,9 +51,7 @@ class BoosterConfig:
         if not isinstance(self.n_learners, (int, np.integer)) or self.n_learners < 1:
             raise ConfigError(f"n_learners={self.n_learners} is not an integer >= 1")
         check_gamma(self.gamma)
-        if not 0 < self.lipschitz < math.inf:
-            raise ConfigError("lipschitz must be positive and finite, "
-                              f"got {self.lipschitz}")
+        check_positive("lipschitz", self.lipschitz)
 
     def smoothing(self, diameter: float) -> tuple[float, float]:
         """(delta, kappa) for a set of this diameter: the balanced radius

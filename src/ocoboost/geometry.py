@@ -37,6 +37,31 @@ def as_point(x, dim=None, name="point"):
     return arr
 
 
+def _as_rows(values, dim: int, name) -> np.ndarray:
+    """The outputs ``values`` as an (n, dim) float64 array, with one shape and
+    one finiteness test for the stack. Failing those, ``as_point`` checks each
+    output as ``name(i)``: an error names the first bad row, and a 0-d output
+    is a vector when dim is 1."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        pass
+    else:
+        if dim == 1 and arr.shape == (len(values),):  # 0-d outputs
+            arr = arr[:, None]
+        if arr.shape == (len(values), dim) and math.isfinite(np.vdot(arr, arr)):
+            return arr
+    return np.array([as_point(v, dim, name(i)) for i, v in enumerate(values)]
+                    ).reshape(len(values), dim)
+
+
+def _outputs(hypotheses, context, dim: int) -> np.ndarray:
+    """The (J, dim) outputs of the hypotheses at a context, each called once
+    and checked as one array; a bad one is named by its ``name``, else index."""
+    return _as_rows([h(context) for h in hypotheses], dim,
+                    lambda j: f"hypothesis {getattr(hypotheses[j], 'name', j)}")
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of x (of x itself when 1-D), equal bit for
     bit to ``math.sqrt(float(row @ row))``. ``vecdot`` sums like the 1-D

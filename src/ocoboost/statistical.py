@@ -22,7 +22,7 @@ import numpy as np
 from .booster import BoosterConfig, stage_weights
 from .errors import ConfigError, NonFiniteInput, StageError, check_gamma
 from .extension import ExtendedLoss
-from .geometry import DecisionSet, as_point
+from .geometry import DecisionSet, _as_rows, _outputs, as_point
 from .losses import LinearLoss
 
 
@@ -141,36 +141,34 @@ class _StageOracle(SampleOracle):
 
     def risks(self, hypotheses):
         """Each hypothesis's expected lifted loss, from the table of its
-        values at the atom contexts. ``vecdot`` sums each atom's value like
-        ``LinearLoss.value``, and the running sum adds the atoms in order,
-        like ``_totals``: ``sum`` adds a single hypothesis's atoms pairwise,
-        and ``cumsum`` holds on to traced memory inside numpy."""
+        values at the atom contexts, filled unless it holds these hypotheses.
+        ``vecdot`` sums each atom's value like ``LinearLoss.value``, and the
+        running sum adds the atoms in order, like ``_totals``: ``sum`` adds a
+        single hypothesis's atoms pairwise, and ``cumsum`` holds on to traced
+        memory inside numpy."""
         if self.contexts is None:
             return None
-        self._tabulate(hypotheses)
+        if self._values is None or len(self._tabled) != len(hypotheses) \
+                or any(a is not b for a, b in zip(self._tabled, hypotheses)):
+            values = np.empty((len(self.contexts), len(hypotheses), self.set_c.dim))
+            for j, h in enumerate(hypotheses):
+                values[:, j] = self._at_atoms(h, j)
+            self._tabled, self._values = list(hypotheses), values
         weighted = self.probs[:, None] * np.vecdot(self._values,
                                                    self.gradients()[:, None, :])
         return np.add.accumulate(weighted, axis=0)[-1]
 
-    def _tabulate(self, hypotheses) -> None:
-        """Fill the table with the hypotheses' values at the atom contexts,
-        unless it already holds these hypotheses."""
-        if self._values is not None and len(self._tabled) == len(hypotheses) \
-                and all(a is b for a, b in zip(self._tabled, hypotheses)):
-            return
-        dim = self.set_c.dim
-        values = np.empty((len(self.contexts), len(hypotheses), dim))
-        for j, h in enumerate(hypotheses):
-            for k, c in enumerate(self.contexts):
-                values[k, j] = as_point(h(c), dim)
-        self._tabled, self._values = list(hypotheses), values
+    def _at_atoms(self, hyp, j) -> np.ndarray:
+        """(K, d) checked values of hypothesis j (an index or a label) at the atoms."""
+        return _as_rows([hyp(c) for c in self.contexts], self.set_c.dim,
+                        lambda k: f"hypothesis {getattr(hyp, 'name', j)} at atom {k}")
 
     def column(self, hyp) -> np.ndarray:
         """(K, d) values at the atom contexts: from the table, else one call each."""
         for j, h in enumerate(self._tabled):
             if h is hyp:
                 return self._values[:, j]
-        return np.array([as_point(hyp(c), self.set_c.dim) for c in self.contexts])
+        return self._at_atoms(hyp, "of the stage")
 
     def add(self, stage) -> None:
         """Append a learned stage and, on a finite support, move the atoms'
@@ -232,13 +230,15 @@ class BoostedHypothesis:
                     self.bases.append(base)
                     self.coefs.append(0.0)
                 self.coefs[k] += weight * factor
+        self._coefs = np.array(self.coefs)[:, None]  # (J, 1)
 
     def raw(self, context) -> np.ndarray:
-        """Pre-projection mixture point in recentered coordinates."""
-        out = np.zeros(self.set_c.dim)
-        for coef, base in zip(self.coefs, self.bases):
-            out += coef * as_point(base(context), self.set_c.dim)
-        return out
+        """Pre-projection mixture point in recentered coordinates: the bases'
+        values, checked as one array, summed in order (a column of -0.0 stays -0.0)."""
+        if not self.bases:
+            return np.zeros(self.set_c.dim)
+        values = _outputs(self.bases, context, self.set_c.dim)
+        return np.add.accumulate(self._coefs * values, axis=0)[-1]
 
     def __call__(self, context) -> np.ndarray:
         return self.set_c._project(self.raw(context)) + self.offset
@@ -278,9 +278,7 @@ class ErmWeakOptimizer:
                              self.hypotheses)
         # the method: np.argmin's Python wrapper left traced memory behind here
         best = int(totals.argmin())
-        base = self.hypotheses[best]
-        name = f"erm[{best}]"
-        return ScaledHypothesis(base, self.gamma, name=name)
+        return ScaledHypothesis(self.hypotheses[best], self.gamma, name=f"erm[{best}]")
 
 
 def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionSet,
@@ -302,20 +300,6 @@ def fit_boosted_hypothesis(oracle: SampleOracle, weak_optimizer, set_: DecisionS
         except Exception as exc:
             raise StageError(i, str(exc)) from exc
     return BoostedHypothesis(stage_oracle.stages, weights[-1], set_c, offset)
-
-
-def population_loss(hypothesis, oracle: SampleOracle, n_samples: int):
-    """Monte-Carlo estimate of the expected loss of a hypothesis.
-
-    Returns (mean, standard error).
-    """
-    if n_samples < 2:
-        raise ConfigError("n_samples must be >= 2")
-    vals = np.empty(n_samples)
-    for k in range(n_samples):
-        loss, context = oracle.draw()
-        vals[k] = loss.value(hypothesis(context))
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
 
 
 def exact_population_loss(hypothesis, oracle: SampleOracle) -> float:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ProtocolError, check_gamma, check_positive
-from .geometry import DecisionSet, as_point
+from .geometry import DecisionSet, _outputs, as_point
 from .losses import LinearLoss
 
 
@@ -121,7 +121,7 @@ class ScaledLeaderOracle(WeakLearner):
     def predict(self, context) -> np.ndarray:
         c = self._remember(context)
         self._last_context = None  # kept once every hypothesis has played
-        self._last_actions = _hypothesis_actions(self.hypotheses, context)
+        self._last_actions = _outputs(self.hypotheses, context, self.action_dim)
         self._last_context = c
         return _leader_plays(self.cum_losses[None], self._last_actions, self.gamma,
                              self.mode, self.scale, self.rounds)[0]
@@ -129,11 +129,6 @@ class ScaledLeaderOracle(WeakLearner):
     def _apply_update(self, context, g):
         _add_leader_losses(self.cum_losses[None], self._last_actions, g[None])
         self._last_actions = None
-
-
-def _hypothesis_actions(hypotheses, context) -> np.ndarray:
-    # hypotheses are trusted callables returning length-d vectors
-    return np.stack([h(context) for h in hypotheses])
 
 
 def _leader_plays(cum, actions, gamma, mode, scale, rounds) -> np.ndarray:
@@ -194,7 +189,8 @@ class LeaderBank:
                    for learner in learners)
 
     def predict_all(self, context) -> np.ndarray:
-        self._actions = _hypothesis_actions(self.hypotheses, context)
+        self._actions = None  # a rejected output leaves no round
+        self._actions = _outputs(self.hypotheses, context, self.learners[0].action_dim)
         return _leader_plays(self.cum_losses, self._actions, self.gamma,
                              self.mode, self.scale, self.learners[0].rounds)
 
@@ -487,8 +483,7 @@ def empirical_gamma_regret(learner: WeakLearner, transcript, hypotheses) -> floa
         g = _loss_vector(loss, learner.action_dim)
         played = learner.predict(context)
         total += float(g @ played)
-        comparator += np.array([g @ as_point(h(context), learner.action_dim)
-                                for h in hypotheses])
+        comparator += np.vecdot(_outputs(hypotheses, context, learner.action_dim), g)
         learner.update(loss)
     return total - learner.gamma * float(comparator.min())
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ocoboost.booster import BoosterConfig, OnlineBooster
-from ocoboost.errors import NonFiniteInput, ProtocolError
+from ocoboost.errors import ProtocolError
 from ocoboost.geometry import Ball, Simplex
 from ocoboost.losses import LinearLoss
 from ocoboost.weak import (LeaderBank, LearnerList, ScaledLeaderOracle,
@@ -209,13 +209,3 @@ def test_bank_update_needs_its_predict_and_keeps_no_round_state():
     assert arrays == ["cum_losses"]
     with pytest.raises(ProtocolError):
         bank.update_all(grads)
-
-
-def test_banked_non_finite_play_names_the_learner():
-    hyps = [lambda c: np.array([np.nan, 0.0])]
-    booster = OnlineBooster(Ball(2, 1.0),
-                            lambda i, s: ScaledLeaderOracle(hyps, 0.5, s),
-                            BoosterConfig(n_learners=3, gamma=0.5, lipschitz=4.0))
-    assert isinstance(booster.bank, LeaderBank)
-    with pytest.raises(NonFiniteInput, match="learner 0 played a non-finite point"):
-        booster.predict([0.0])

@@ -13,7 +13,7 @@ from ocoboost.losses import (CallableLoss, LinearLoss, QuadraticLoss, ScaledLoss
 from ocoboost.statistical import (CallableSampleOracle, ConstantHypothesis,
                                   ErmWeakOptimizer, FiniteSupportOracle,
                                   ScaledHypothesis, exact_population_loss,
-                                  fit_boosted_hypothesis, population_loss)
+                                  fit_boosted_hypothesis)
 from ocoboost.testkit import hull_optimum
 
 
@@ -468,35 +468,6 @@ class TestTabulatedFit:
         fit_boosted_hypothesis(oracle, wopt, self.box, n_stages=self.n_stages,
                                gamma=0.5, stage_budget=1, lipschitz=20.0)
         assert [{k: id(v) for k, v in vars(o).items()} for o in (oracle, wopt)] == before
-
-
-class TestPopulationLoss:
-    def test_single_atom_exact_zero_se(self):
-        oracle = FiniteSupportOracle([(QuadraticLoss([0.4]), np.zeros(1))],
-                                     seed=0)
-        h = ConstantHypothesis(np.array([0.1]))
-        mean, se = population_loss(h, oracle, 50)
-        assert mean == pytest.approx((0.1 - 0.4) ** 2)
-        assert se == pytest.approx(0.0)
-
-    def test_two_atom_closed_form_within_3se(self):
-        oracle = _two_point_oracle()
-        h = ConstantHypothesis(np.array([0.2]))
-        truth = 0.5 * (0.2 + 0.6) ** 2 + 0.5 * (0.2 - 0.8) ** 2
-        mean, se = population_loss(h, oracle, 4000)
-        assert abs(mean - truth) <= max(3 * se, 1e-12)
-
-    def test_centroid_on_centered_linear_losses(self):
-        atoms = [(LinearLoss([1.0]), np.zeros(1)), (LinearLoss([-2.0]), np.zeros(1))]
-        oracle = FiniteSupportOracle(atoms, seed=1)
-        h = ConstantHypothesis(np.zeros(1))
-        mean, se = population_loss(h, oracle, 500)
-        assert mean == pytest.approx(0.0)
-
-    def test_needs_two_samples(self):
-        oracle = _two_point_oracle()
-        with pytest.raises(ConfigError):
-            population_loss(ConstantHypothesis(np.zeros(1)), oracle, 1)
 
 
 def test_hypothesis_export_is_json_serializable():
