@@ -14,6 +14,8 @@ constructively at construction by projecting every basis vector.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .booster import BoosterConfig, OnlineBooster, RoundTrajectory
@@ -117,7 +119,7 @@ class BanditBooster:
         if self._pending is None:
             raise ProtocolError("feedback without a pending step")
         observed_loss = float(observed_loss)
-        if not np.isfinite(observed_loss):
+        if not math.isfinite(observed_loss):
             raise NonFiniteInput("observed loss is not finite")
         explored, coordinate, traj = self._pending
         estimate = np.zeros(self.dim)

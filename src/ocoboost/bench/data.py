@@ -132,18 +132,21 @@ def ingest(path, target_col=None) -> Dataset:
         raise DataError(f"{path}: no data rows")
 
     width = len(names)
-    matrix = np.empty((len(data_rows), width))
-    for i, row in enumerate(data_rows):
-        if len(row) != width:
-            raise DataError(
-                f"{path} line {first_line + i}: expected {width} cells, got {len(row)}")
-        for j, cell in enumerate(row):
-            try:
-                matrix[i, j] = float(cell)
-            except ValueError:
+    try:  # numpy parses each cell with float()
+        matrix = np.array(data_rows, dtype=np.float64)
+    except ValueError:
+        matrix = None
+    if matrix is None or matrix.shape != (len(data_rows), width):
+        for i, row in enumerate(data_rows):  # name the first bad row or cell
+            bad = [j for j, cell in enumerate(row) if not _looks_numeric(cell)]
+            if len(row) != width:
+                raise DataError(
+                    f"{path} line {first_line + i}: expected {width} cells, got {len(row)}")
+            if bad:
                 raise DataError(
                     f"{path} line {first_line + i}: non-numeric cell in "
-                    f"column '{names[j]}': {cell!r}") from None
+                    f"column '{names[bad[0]]}': {row[bad[0]]!r}")
+        matrix = np.array([[float(cell) for cell in row] for row in data_rows])
 
     if target_col is None:
         target_idx = width - 1

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteInput, ProtocolError, check_gamma, check_positive
 from .extension import ExtendedLoss, default_delta
-from .geometry import DecisionSet, as_point, row_norms
+from .geometry import DecisionSet, as_point
 from .losses import ConvexLoss, ShiftedLoss
 from .weak import bank_for
 
@@ -89,6 +89,7 @@ class OnlineBooster:
     def __init__(self, set_: DecisionSet, learner_factory, config: BoosterConfig):
         self.config = config
         self.set_c, self.offset = set_.recenter()
+        self._shifted = bool(self.offset.any())  # losses move with the offset
         self.weights = stage_weights(config.n_learners, config.gamma)
         self.learners = [learner_factory(i, self.set_c)
                          for i in range(config.n_learners)]
@@ -122,12 +123,12 @@ class OnlineBooster:
                 "update requires the trajectory from the immediately "
                 "preceding predict of this round")
 
-        loss_c = (loss if not np.any(self.offset)
-                  else ShiftedLoss(loss, self.offset))
+        loss_c = ShiftedLoss(loss, self.offset) if self._shifted else loss
         ext = ExtendedLoss(loss_c, self.set_c, self.delta, self.kappa)
         # learner i's gradient is row i, taken at its incoming stage point
         grads, info = ext.grad_with_info(trajectory.stages[:-1])
-        self.max_grad_norm = max(self.max_grad_norm, float(row_norms(grads).max()))
+        self.max_grad_norm = max(self.max_grad_norm,  # sqrt is monotone, correctly rounded
+                                 math.sqrt(np.vecdot(grads, grads).max()))
         self.prox_nonconverged += info.nonconverged
         self.prox_worst_residual = max(self.prox_worst_residual, info.residual)
         self.bank.update_all(grads)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, check_positive
 from .geometry import DecisionSet, as_point, row_norms
 from .losses import ConvexLoss, ShiftedLoss, closed_form
 
@@ -128,19 +128,22 @@ class ExtendedLoss:
     before any gradient is taken."""
 
     def __init__(self, base, set_: DecisionSet, delta: float, kappa: float):
-        if not 0.0 < delta < math.inf:
-            raise ConfigError(f"delta must be positive and finite, got {delta}")
+        self.delta = check_positive("delta", delta)
         if not 0.0 <= kappa < math.inf:
             raise ConfigError(f"kappa must be nonnegative and finite, got {kappa}")
         self.base = None if isinstance(base, tuple) else base  # a form from lift
         self.set_ = set_
-        self.delta = float(delta)
         self.kappa = float(kappa)
         self._weight, self._target, self._direction = (
             base if self.base is None else closed_form(base) or (None, None, None))
         vector = self._direction if self._target is None else self._target
         if vector is not None and vector.shape[-1] != set_.dim:
             raise DimensionMismatch("loss and set dimensions differ")
+        if self._target is not None:
+            # w||y-t||^2 + ||y-x||^2/(2 delta) = (a/2)||y-z||^2 + c at z = (2wt + x/delta)/a
+            self._a = 2.0 * self._weight + 1.0 / self.delta
+            self._wt = 2.0 * self._weight * self._target
+            self._bound = self.kappa / self._a
 
     @classmethod
     def lift(cls, losses, offset, set_: DecisionSet, delta: float, kappa: float):
@@ -155,10 +158,11 @@ class ExtendedLoss:
         n, dim = len(losses), set_.dim
         weights, vectors = np.empty((n, 1)), np.empty((n, dim))  # targets or directions
         quadratic, linear, extensions = [], [], []
+        shifted = np.any(offset)
         for k, loss in enumerate(losses):
             form = closed_form(loss)
             if form is None:
-                loss = ShiftedLoss(loss, offset) if np.any(offset) else loss
+                loss = ShiftedLoss(loss, offset) if shifted else loss
                 extensions.append((np.array([k]), cls(loss, set_, delta, kappa)))
                 continue
             vector = form[1] if form[2] is None else form[2]
@@ -179,15 +183,11 @@ class ExtendedLoss:
         (N, d) array: one shrink toward the projection for a linear or
         quadratic base, an iterative solve per row otherwise."""
         if self._direction is not None:
-            y = _shrink_toward_projection(self.set_, x - self.delta * self._direction,
-                                          self.delta * self.kappa)
-            return y, _EXACT_INFO
+            return _shrink_toward_projection(self.set_, x - self.delta * self._direction,
+                                             self.delta * self.kappa), _EXACT_INFO
         if self._target is not None:
-            # w*||y-t||^2 + ||y-x||^2/(2 delta) = (a/2)*||y-z||^2 + const
-            w, delta = self._weight, self.delta
-            a = 2.0 * w + 1.0 / delta
-            z = (2.0 * w * self._target + x / delta) / a
-            return _shrink_toward_projection(self.set_, z, self.kappa / a), _EXACT_INFO
+            z = (self._wt + x / self.delta) / self._a
+            return _shrink_toward_projection(self.set_, z, self._bound), _EXACT_INFO
         ys, infos = zip(*(_prox_iterative(self.base, self.set_, self.kappa,
                                           self.delta, row, PROX_BUDGET, PROX_TOL)
                           for row in x.reshape(-1, x.shape[-1])))

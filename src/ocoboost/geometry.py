@@ -37,11 +37,12 @@ def as_point(x, dim=None, name="point"):
     return arr
 
 
-def _as_rows(values, dim: int, name) -> np.ndarray:
+def _as_rows(values, dim, name):
     """The outputs ``values`` as an (n, dim) float64 array, with one shape and
     one finiteness test for the stack. Failing those, ``as_point`` checks each
     output as ``name(i)``: an error names the first bad row, and a 0-d output
-    is a vector when dim is 1."""
+    is a vector when dim is 1. For dim None a stack of any width passes, and
+    failing it the outputs come back as a list of vectors, of any lengths."""
     try:
         arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError):  # ragged, or not numbers
@@ -49,15 +50,17 @@ def _as_rows(values, dim: int, name) -> np.ndarray:
     else:
         if dim == 1 and arr.shape == (len(values),):  # 0-d outputs
             arr = arr[:, None]
-        if arr.shape == (len(values), dim) and math.isfinite(np.vdot(arr, arr)):
+        if arr.shape == (len(values), arr.shape[-1] if dim is None else dim) \
+                and math.isfinite(np.vdot(arr, arr)):
             return arr
-    return np.array([as_point(v, dim, name(i)) for i, v in enumerate(values)]
-                    ).reshape(len(values), dim)
+    rows = [as_point(v, dim, name(i)) for i, v in enumerate(values)]
+    return rows if dim is None else np.array(rows).reshape(len(values), dim)
 
 
-def _outputs(hypotheses, context, dim: int) -> np.ndarray:
+def _outputs(hypotheses, context, dim):
     """The (J, dim) outputs of the hypotheses at a context, each called once
-    and checked as one array; a bad one is named by its ``name``, else index."""
+    and checked by ``_as_rows`` (which also says what dim None gives); a bad
+    one is named by its ``name``, else index."""
     return _as_rows([h(context) for h in hypotheses], dim,
                     lambda j: f"hypothesis {getattr(hypotheses[j], 'name', j)}")
 

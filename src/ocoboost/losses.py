@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, NonFiniteInput
+from .errors import ConfigError, DimensionMismatch, NonFiniteInput, check_positive
 from .geometry import DecisionSet, as_point
 
 
@@ -62,9 +62,7 @@ class QuadraticLoss(ConvexLoss):
 
     def __init__(self, target, weight: float = 1.0):
         self.target = as_point(target, name="target")
-        if weight <= 0 or not np.isfinite(weight):
-            raise ConfigError("quadratic weight must be positive and finite")
-        self.weight = float(weight)
+        self.weight = check_positive("quadratic weight", weight)
         self.curvature_hint = 2.0 * self.weight
 
     @property
@@ -124,10 +122,8 @@ class ScaledLoss(ConvexLoss):
     """g(x) = factor * base(x); e.g. for rescaling a loss to unit range."""
 
     def __init__(self, base: ConvexLoss, factor: float):
-        if factor <= 0 or not np.isfinite(factor):
-            raise ConfigError("scale factor must be positive and finite")
+        self.factor = check_positive("scale factor", factor)
         self.base = base
-        self.factor = float(factor)
         if base.lipschitz_hint is not None:
             self.lipschitz_hint = factor * base.lipschitz_hint
         if base.curvature_hint is not None:

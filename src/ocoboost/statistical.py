@@ -44,10 +44,12 @@ class SampleOracle:
 
 def _totals(samples, hypotheses) -> np.ndarray:
     """Loss of each hypothesis, weighted and summed over (loss, context,
-    weight) samples in order."""
+    weight) samples in order; the outputs at a sample are checked as one
+    array, of the loss's ``dim`` where it has one."""
     totals = np.zeros(len(hypotheses))
     for loss, context, weight in samples:
-        totals += weight * np.array([loss.value(h(context)) for h in hypotheses])
+        values = _outputs(hypotheses, context, getattr(loss, "dim", None))
+        totals += weight * np.array([loss.value(v) for v in values])
     return totals
 
 
@@ -55,7 +57,8 @@ class FiniteSupportOracle(SampleOracle):
     def __init__(self, atoms, probs=None, seed: int = 0):
         if not atoms:
             raise ConfigError("need at least one atom")
-        self.atoms = [(loss, as_point(c, name="context")) for loss, c in atoms]
+        losses, contexts = zip(*atoms)  # contexts of one length: rows of one array
+        self.atoms = list(zip(losses, _as_rows(contexts, None, lambda k: "context")))
         if probs is None:
             probs = np.full(len(atoms), 1.0 / len(atoms))
         self.probs = np.asarray(probs, dtype=np.float64)
@@ -126,9 +129,12 @@ class _StageOracle(SampleOracle):
 
     def gradients(self) -> np.ndarray:
         """(K, d) extension gradients of the atoms at their stage points."""
-        grads = np.empty_like(self.points)
-        for rows, ext in self.extensions:
-            grads[rows] = ext.grad_with_info(self.points[rows])[0]
+        if len(self.extensions) == 1:  # one closed form owns every atom
+            grads = self.extensions[0][1].grad_with_info(self.points)[0]
+        else:
+            grads = np.empty_like(self.points)
+            for rows, ext in self.extensions:
+                grads[rows] = ext.grad_with_info(self.points[rows])[0]
         if not math.isfinite(np.vdot(grads, grads)):
             raise NonFiniteInput("lifted losses contain non-finite entries")
         return grads
@@ -145,7 +151,9 @@ class _StageOracle(SampleOracle):
         ``vecdot`` sums each atom's value like ``LinearLoss.value``, and the
         running sum adds the atoms in order, like ``_totals``: ``sum`` adds a
         single hypothesis's atoms pairwise, and ``cumsum`` holds on to traced
-        memory inside numpy."""
+        memory inside numpy. The stacked matmul ``(V @ g[:, :, None])[..., 0]``
+        is about 4 us faster at (128, 8, 3), but in random trials it differed
+        from the 1-D product in 23-61% of entries for d in {2, 3, 4, 8}."""
         if self.contexts is None:
             return None
         if self._values is None or len(self._tabled) != len(hypotheses) \
@@ -307,5 +315,4 @@ def exact_population_loss(hypothesis, oracle: SampleOracle) -> float:
     support = oracle.support()
     if support is None:
         raise ConfigError("exact population loss needs a finite-support oracle")
-    return float(sum(p * loss.value(hypothesis(context))
-                     for loss, context, p in support))
+    return float(_totals(support, [hypothesis])[0])

@@ -110,11 +110,9 @@ class ScaledLeaderOracle(WeakLearner):
             raise ConfigError("need at least one hypothesis")
         if mode not in ("ftl", "hedge"):
             raise ConfigError(f"unknown oracle mode '{mode}'")
-        if not 0.0 < scale < np.inf:
-            raise ConfigError("scale must be positive and finite")
+        self.scale = check_positive("scale", scale)
         self.hypotheses = list(hypotheses)
         self.mode = mode
-        self.scale = float(scale)
         self.cum_losses = np.zeros(len(self.hypotheses))
         self._last_actions = None
 
