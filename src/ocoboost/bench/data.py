@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -99,12 +100,12 @@ def _standardize(raw_features, raw_targets, feature_names, target_name, source):
     )
 
 
-def _looks_numeric(cell: str) -> bool:
+def _bad_cell(cell: str):
+    """None for a cell float() reads as a finite number, else what it is."""
     try:
-        float(cell)
-        return True
+        return None if math.isfinite(float(cell)) else "non-finite"
     except ValueError:
-        return False
+        return "non-numeric"
 
 
 def ingest(path, target_col=None) -> Dataset:
@@ -119,7 +120,7 @@ def ingest(path, target_col=None) -> Dataset:
         raise DataError(f"{path}: file is empty")
 
     first = rows[0]
-    has_header = not all(_looks_numeric(c) for c in first)
+    has_header = any(_bad_cell(c) == "non-numeric" for c in first)
     if has_header:
         names = [c.strip() for c in first]
         data_rows = rows[1:]
@@ -136,16 +137,16 @@ def ingest(path, target_col=None) -> Dataset:
         matrix = np.array(data_rows, dtype=np.float64)
     except ValueError:
         matrix = None
-    if matrix is None or matrix.shape != (len(data_rows), width):
+    if matrix is None or matrix.shape != (len(data_rows), width) \
+            or not np.isfinite(matrix).all():
         for i, row in enumerate(data_rows):  # name the first bad row or cell
-            bad = [j for j, cell in enumerate(row) if not _looks_numeric(cell)]
             if len(row) != width:
                 raise DataError(
                     f"{path} line {first_line + i}: expected {width} cells, got {len(row)}")
-            if bad:
-                raise DataError(
-                    f"{path} line {first_line + i}: non-numeric cell in "
-                    f"column '{names[bad[0]]}': {row[bad[0]]!r}")
+            for name, cell in zip(names, row):
+                if kind := _bad_cell(cell):
+                    raise DataError(f"{path} line {first_line + i}: {kind} cell in "
+                                    f"column '{name}': {cell!r}")
         matrix = np.array([[float(cell) for cell in row] for row in data_rows])
 
     if target_col is None:

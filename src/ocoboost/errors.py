@@ -1,5 +1,7 @@
 """Exception types shared across the package, and two shared settings checks."""
 
+import math
+
 
 class OcoBoostError(Exception):
     """Base class for all library errors."""
@@ -42,6 +44,6 @@ def check_gamma(gamma) -> float:
 
 def check_positive(name: str, value) -> float:
     """``value`` as a float; ``ConfigError`` unless 0 < value < inf."""
-    if not 0.0 < value < float("inf"):
+    if not 0.0 < value < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {value}")
     return float(value)

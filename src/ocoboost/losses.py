@@ -106,15 +106,16 @@ class ShiftedLoss(ConvexLoss):
     def __init__(self, base: ConvexLoss, offset):
         self.base = base
         self.offset = as_point(offset, name="offset")
+        self.dim = self.offset.shape[0]
         self.lipschitz_hint = base.lipschitz_hint
         self.curvature_hint = base.curvature_hint
 
     def value(self, x) -> float:
-        x = as_point(x, self.offset.shape[0])
+        x = as_point(x, self.dim)
         return self.base.value(x + self.offset)
 
     def grad(self, x) -> np.ndarray:
-        x = as_point(x, self.offset.shape[0])
+        x = as_point(x, self.dim)
         return self.base.grad(x + self.offset)
 
 
@@ -124,6 +125,7 @@ class ScaledLoss(ConvexLoss):
     def __init__(self, base: ConvexLoss, factor: float):
         self.factor = check_positive("scale factor", factor)
         self.base = base
+        self.dim = getattr(base, "dim", None)
         if base.lipschitz_hint is not None:
             self.lipschitz_hint = factor * base.lipschitz_hint
         if base.curvature_hint is not None:

@@ -20,10 +20,10 @@ directly has no equilibrium, so parameters saturate and the boosted
 feedback loop destabilizes; the regression form is self-stabilizing.
 ``ScaledLeaderOracle`` is the exact-edge learner the test suite uses: it
 tracks a finite hypothesis class on the raw linear losses and plays gamma
-times the leader (or a hedged mixture). ``bank_for`` runs a booster's leader
-oracles with one set of settings as one ``LeaderBank``, its stumps with one
-context size, gamma and set as one ``StumpBank`` with shared bins, and any
-other learners through a ``LearnerList``, one call at a time.
+times the leader (or a hedged mixture). ``bank_for`` runs learners of exactly
+one banked type, none with ``predict`` or ``update`` replaced on the instance
+and all with one ``_bank_key()``, as that type's ``LeaderBank`` or
+``StumpBank``, and any others through a ``LearnerList``, one call at a time.
 """
 
 from __future__ import annotations
@@ -128,6 +128,9 @@ class ScaledLeaderOracle(WeakLearner):
         _add_leader_losses(self.cum_losses[None], self._last_actions, g[None])
         self._last_actions = None
 
+    def _bank_key(self):
+        return (self.hypotheses, self.gamma, self.mode, self.scale, self.rounds)
+
 
 def _leader_plays(cum, actions, gamma, mode, scale, rounds) -> np.ndarray:
     """The (n, d) plays of n leader oracles with cumulative losses ``cum``
@@ -151,61 +154,54 @@ def _add_leader_losses(cum, actions, G) -> None:
     cum += (actions[None] @ G[:, :, None])[..., 0]
 
 
-class LeaderBank:
-    """N ``ScaledLeaderOracle``s that share their hypotheses, gamma, mode,
-    scale and round count, run as one (N, J) table of cumulative losses.
-
-    A round calls each hypothesis once, then takes every learner's play
-    and every learner's loss update as one array step each, with the bits
-    of the learners' own ``predict`` and ``update``. Each learner's
-    ``cum_losses`` is a row view of the table and its ``rounds`` advances,
-    so the learners stay truthful.
-    """
+class _Bank:
+    """N learners of one kind run as one. Each ``_ROWS`` name is an (N, ...)
+    table whose row i is learner i's own array. A round is the kind's
+    ``_play(context) -> (round, plays)``, then its ``_feed(round, G)``; a
+    rejected play leaves no round, and a fed one advances every ``rounds``."""
 
     def __init__(self, learners):
-        first = learners[0]
         self.learners = learners
-        self.hypotheses = first.hypotheses
-        self.gamma, self.mode, self.scale = first.gamma, first.mode, first.scale
-        self.cum_losses = np.array([learner.cum_losses for learner in learners])
-        for learner, row in zip(learners, self.cum_losses):
-            learner.cum_losses = row
-        self._actions = None
-
-    @staticmethod
-    def admits(learners) -> bool:
-        """Whether every learner is a plain ``ScaledLeaderOracle`` with the
-        first one's settings."""
-        first = learners[0]
-        if not _plain(first, ScaledLeaderOracle):
-            return False
-        settings = (first.gamma, first.mode, first.scale, first.rounds)
-        return all(_plain(learner, ScaledLeaderOracle)
-                   and learner.hypotheses == first.hypotheses
-                   and (learner.gamma, learner.mode, learner.scale,
-                        learner.rounds) == settings
-                   for learner in learners)
+        for name in self._ROWS:
+            setattr(self, name, np.array([getattr(learner, name) for learner in learners]))
+            for learner, row in zip(learners, getattr(self, name)):
+                setattr(learner, name, row)
+        self._round = None
 
     def predict_all(self, context) -> np.ndarray:
-        self._actions = None  # a rejected output leaves no round
-        self._actions = _outputs(self.hypotheses, context, self.learners[0].action_dim)
-        return _leader_plays(self.cum_losses, self._actions, self.gamma,
-                             self.mode, self.scale, self.learners[0].rounds)
+        self._round = None  # a rejected play leaves no round
+        self._round, plays = self._play(context)
+        return plays
 
     def update_all(self, G) -> None:
         """Feed row i of the (N, d) gradients to learner i."""
-        if self._actions is None:
+        if self._round is None:
             raise ProtocolError("update without a preceding predict")
-        _add_leader_losses(self.cum_losses, self._actions, G)
-        self._actions = None
+        self._feed(self._round, G)
+        self._round = None
         for learner in self.learners:
             learner.rounds += 1
 
 
-def _plain(learner, cls) -> bool:
-    """Whether ``learner`` is a ``cls``, not a subclass, with neither
-    ``predict`` nor ``update`` replaced on the instance (as a tracer does)."""
-    return type(learner) is cls and vars(learner).keys().isdisjoint(("predict", "update"))
+class LeaderBank(_Bank):
+    """N ``ScaledLeaderOracle``s with one ``_bank_key()``, run as one (N, J)
+    table of cumulative losses. A round calls each hypothesis once, then
+    plays and adds every learner's loss as one array step each, with the
+    bits of the learners' own ``predict`` and ``update``."""
+
+    _ROWS = ("cum_losses",)
+
+    def __init__(self, learners):
+        super().__init__(learners)
+        self.hypotheses, self.gamma, self.mode, self.scale, _ = learners[0]._bank_key()
+
+    def _play(self, context):
+        actions = _outputs(self.hypotheses, context, self.learners[0].action_dim)
+        return actions, _leader_plays(self.cum_losses, actions, self.gamma, self.mode,
+                                      self.scale, self.learners[0].rounds)
+
+    def _feed(self, actions, G):
+        _add_leader_losses(self.cum_losses, actions, G)
 
 
 class LearnerList:
@@ -306,6 +302,10 @@ class DecisionStump(_StumpWarmup, _Regressor):
                        self.counts[None], self.feat_loss[None], self.edges,
                        context, g[None])
 
+    def _bank_key(self):
+        # a stump that has played holds its own warm-up buffer
+        return None if self.rounds else (self.feature_dim, self.gamma, self.set_)
+
 
 def _stump_plays(set_, gamma, leaves, feat_loss, edges, c) -> np.ndarray:
     """The (n, d) plays at context ``c`` of n stumps with (n, F, B, d)
@@ -334,51 +334,28 @@ def _credit_stumps(set_, gamma, self_anchor, leaves, counts, feat_loss, edges, c
     leaves[cells] = L + (target - L) / k[..., None]
 
 
-class StumpBank(_StumpWarmup):
-    """N plain ``DecisionStump``s with one context size, gamma and set, run
-    as (N, F, B, d) leaves, (N, F, B) counts and (N, F) feature losses whose
-    rows are the learners' own arrays. They share one warm-up buffer, one
-    set of edges and each round's bins. A round is one array step to play
-    and one to credit, with the learners' bits, and advances their rounds."""
+class StumpBank(_StumpWarmup, _Bank):
+    """N ``DecisionStump``s with one ``_bank_key()``, run as (N, F, B, d)
+    leaves, (N, F, B) counts and (N, F) feature losses that share one
+    warm-up buffer, one set of edges and each round's bins. A round is one
+    array step to play and one to credit, with the learners' bits."""
+
+    _ROWS = ("leaves", "counts", "feat_loss")
 
     def __init__(self, learners):
-        self.learners, first = learners, learners[0]
-        self.set_, self.gamma, self.feature_dim = first.set_, first.gamma, first.feature_dim
+        super().__init__(learners)
+        self.feature_dim, self.gamma, self.set_ = learners[0]._bank_key()
         self.self_anchor = np.concatenate([learner._self_anchor for learner in learners])
-        for name in ("leaves", "counts", "feat_loss"):  # the learners' rows
-            setattr(self, name, np.array([getattr(learner, name) for learner in learners]))
-            for learner, row in zip(learners, getattr(self, name)):
-                setattr(learner, name, row)
-        self._buffer, self.edges, self._context = [], None, None
+        self._buffer, self.edges = [], None
 
-    @staticmethod
-    def admits(learners) -> bool:
-        """Whether every learner is a plain ``DecisionStump`` with the first
-        one's context size, gamma and set, and none has played a round."""
-        first = learners[0]
-        if not _plain(first, DecisionStump):
-            return False
-        settings = (first.feature_dim, first.gamma, first.set_, 0)
-        return all(_plain(learner, DecisionStump) and settings == (
-                       learner.feature_dim, learner.gamma, learner.set_, learner.rounds)
-                   for learner in learners)
-
-    def predict_all(self, context) -> np.ndarray:
-        self._context = None  # a rejected context leaves no round
-        self._context = as_point(context, self.feature_dim, "context")
+    def _play(self, context):
+        c = as_point(context, self.feature_dim, "context")
         if self.edges is None:
-            return np.full((len(self.learners), self.set_.dim), self.set_.centroid)
-        return _stump_plays(self.set_, self.gamma, self.leaves, self.feat_loss,
-                            self.edges, self._context)
+            return c, np.full((len(self.learners), self.set_.dim), self.set_.centroid)
+        return c, _stump_plays(self.set_, self.gamma, self.leaves, self.feat_loss,
+                               self.edges, c)
 
-    def update_all(self, G) -> None:
-        """Feed row i of the (N, d) gradients to stump i."""
-        if self._context is None:
-            raise ProtocolError("update without a preceding predict")
-        self._apply_update(self._context, G)
-        self._context = None
-        for learner in self.learners:
-            learner.rounds += 1
+    _feed = _StumpWarmup._apply_update
 
     def _finish_warmup(self):
         super()._finish_warmup()
@@ -390,12 +367,22 @@ class StumpBank(_StumpWarmup):
                        self.counts, self.feat_loss, self.edges, c, G)
 
 
+_BANKS = {ScaledLeaderOracle: LeaderBank, DecisionStump: StumpBank}
+
+
 def bank_for(learners, dim: int):
-    """The ``LeaderBank`` or ``StumpBank`` that admits ``learners``, else a
-    ``LearnerList``: the one object a booster's round drives them through."""
-    for bank in (LeaderBank, StumpBank):
-        if bank.admits(learners):
-            return bank(learners)
+    """The one object a booster's round drives its learners through: the
+    ``_BANKS`` entry of the first learner's type if every learner is exactly
+    that type, with neither ``predict`` nor ``update`` replaced on the
+    instance (as a tracer does) and the first one's ``_bank_key()``, not
+    None; else a ``LearnerList``."""
+    kind = type(learners[0])
+    key = learners[0]._bank_key() if kind in _BANKS else None
+    if key is not None and all(
+            type(learner) is kind and learner._bank_key() == key
+            and vars(learner).keys().isdisjoint(("predict", "update"))
+            for learner in learners):
+        return _BANKS[kind](learners)
     return LearnerList(learners, dim)
 
 

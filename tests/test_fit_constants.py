@@ -276,7 +276,8 @@ def test_the_booster_records_the_largest_row_norm(rng):
 
 def _cell_loop(path):
     """A headed CSV file read with float() on each cell in turn, checking
-    each row's length first, then standardized as ``ingest`` does."""
+    each row's length first and refusing a non-finite cell, then
+    standardized as ``ingest`` does."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     names, width = [c.strip() for c in rows[0]], len(rows[0])
@@ -290,6 +291,9 @@ def _cell_loop(path):
             except ValueError:
                 raise DataError(f"{path} line {i + 2}: non-numeric cell in column "
                                 f"'{names[j]}': {cell!r}") from None
+            if not math.isfinite(matrix[i, j]):
+                raise DataError(f"{path} line {i + 2}: non-finite cell in column "
+                                f"'{names[j]}': {cell!r}")
     ds = data._standardize(matrix[:, :-1], matrix[:, -1], names[:-1], names[-1], str(path))
     ds.validate()
     return ds
@@ -328,6 +332,20 @@ class TestCsvIngest:
         path.write_text(text)
         assert _outcome(data.ingest, path) == f"DataError: {path} {message}"
         assert _outcome(_cell_loop, path) == f"DataError: {path} {message}"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("header, text, where", [
+        ("a,b,y\n", "1,3,2\n4,{},7\n6,5,1\n", "line 3: non-finite cell in column 'b'"),
+        ("", "1,3,2\n4,{},7\n6,5,1\n", "line 2: non-finite cell in column 'col1'"),
+        ("", "{},3,2\n4,5,7\n6,5,1\n", "line 1: non-finite cell in column 'col0'"),
+    ])
+    def test_a_non_finite_cell_names_its_line_and_column(self, tmp_path, cell, header,
+                                                         text, where):
+        path = tmp_path / "cells.csv"
+        path.write_text(header + text.format(cell))
+        with pytest.raises(DataError) as err:  # before any numpy warning
+            data.ingest(path)
+        assert str(err.value) == f"{path} {where}: {cell!r}"
 
     def test_values_are_float_of_each_cell(self, tmp_path, rng):
         raw = rng.standard_normal((20, 4)) * 10.0 ** rng.integers(-20, 20, (20, 4))

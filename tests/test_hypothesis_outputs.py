@@ -10,8 +10,10 @@ import pytest
 
 from ocoboost.booster import BoosterConfig, OnlineBooster
 from ocoboost.errors import DimensionMismatch, NonFiniteInput, ProtocolError, StageError
+from ocoboost import geometry
 from ocoboost.geometry import Ball, Box, as_point
-from ocoboost.losses import LinearLoss, QuadraticLoss
+from ocoboost.losses import (CallableLoss, LinearLoss, QuadraticLoss, ScaledLoss,
+                             ShiftedLoss)
 from ocoboost.statistical import (BoostedHypothesis, ErmWeakOptimizer,
                                   FiniteSupportOracle, ScaledHypothesis,
                                   fit_boosted_hypothesis)
@@ -251,3 +253,40 @@ def test_a_learners_non_finite_play_names_the_learner():
     assert isinstance(booster.bank, LearnerList)
     with pytest.raises(NonFiniteInput, match="^learner 1 played a non-finite point"):
         booster.predict([0.0])
+
+
+class TestWrapperLosses:
+    """A shifted or scaled loss has a ``dim``, so the sampled risks check the
+    outputs at each sample as one stack, also when they are floats."""
+
+    def test_a_wrapper_has_the_dim_of_its_offset_or_base(self):
+        assert ShiftedLoss(LinearLoss([1.0, 2.0, 3.0]), [0.0, 1.0, 2.0]).dim == 3
+        assert ScaledLoss(QuadraticLoss([1.0, 2.0]), 2.0).dim == 2
+        assert ScaledLoss(ShiftedLoss(QuadraticLoss([1.0]), [0.5]), 2.0).dim == 1
+        assert ScaledLoss(CallableLoss(lambda x: 0.0, lambda x: x), 2.0).dim is None
+
+    def test_float_outputs_of_scaled_atoms_are_checked_as_one_stack(
+            self, rng, monkeypatch):
+        targets = rng.standard_normal(16)
+        oracle = FiniteSupportOracle(
+            [(ScaledLoss(QuadraticLoss([t]), 2.0), np.array([t])) for t in targets])
+        hyps = [lambda c, a=a: float(a * c[0]) for a in rng.standard_normal(8)]
+        reference = np.zeros(8)  # each float as a (1,) point, one sample at a time
+        for loss, c, w in oracle.support():
+            reference += w * np.array([loss.value(np.array([h(c)])) for h in hyps])
+        calls = []
+        checked = geometry.as_point
+        monkeypatch.setattr(geometry, "as_point",
+                            lambda *args: calls.append(args) or checked(*args))
+        risks = oracle.risks(hyps)
+        assert len(calls) == 0
+        assert _hex(risks) == _hex(reference)
+
+    @pytest.mark.parametrize("output, error", [
+        (np.zeros(2), DimensionMismatch), (np.nan, NonFiniteInput),
+        (np.array([np.inf]), NonFiniteInput)])
+    def test_a_bad_output_raises_as_before(self, output, error):
+        oracle = FiniteSupportOracle([(ScaledLoss(QuadraticLoss([0.5]), 2.0),
+                                       np.array([0.5]))])
+        with pytest.raises(error):
+            oracle.risks([lambda c: np.ones(1), lambda c: output])

@@ -124,6 +124,22 @@ def test_bank_plays_the_bits_of_one_learner_at_a_time(mode, n, case):
         assert np.shares_memory(learner.cum_losses, row)
 
 
+def test_learners_cum_losses_are_rows_of_the_bank():
+    booster = OnlineBooster(Ball(2, 1.0),
+                            lambda i, s: ScaledLeaderOracle(_HYPS, 0.5, s),
+                            BoosterConfig(n_learners=4, gamma=0.5, lipschitz=4.0))
+    bank = booster.bank
+    assert isinstance(bank, LeaderBank)
+    for i, learner in enumerate(booster.learners):
+        assert learner.cum_losses.base is bank.cum_losses
+        assert np.shares_memory(learner.cum_losses, bank.cum_losses[i])
+    _, traj = booster.predict([0.2])
+    booster.update(LinearLoss([0.3, -0.1]), traj)
+    for i, learner in enumerate(booster.learners):
+        assert np.array_equal(learner.cum_losses, bank.cum_losses[i])
+        assert learner.cum_losses.any()
+
+
 def test_contraction_sums_like_the_one_row_product():
     # einsum sums in another order on this draw; the bank must not
     rng = np.random.default_rng(3)

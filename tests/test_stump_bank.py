@@ -12,7 +12,8 @@ from ocoboost.errors import DimensionMismatch, ProtocolError
 from ocoboost.geometry import Box, Interval, Simplex
 from ocoboost.losses import LinearLoss
 from ocoboost.weak import (STUMP_BINS, STUMP_WARMUP, DecisionStump, LeaderBank,
-                           LearnerList, ScaledLeaderOracle, StumpBank, bank_for)
+                           LearnerList, ScaledLeaderOracle, StumpBank, UniformBaseline,
+                           bank_for)
 
 FEATURES = 4
 
@@ -118,6 +119,12 @@ def _patched(learner):
     return learner
 
 
+def _patched_update(learner):
+    update = learner.update
+    learner.update = lambda loss: update(loss)
+    return learner
+
+
 def _played_before(learner):
     learner.predict(np.zeros(FEATURES))
     learner.update(LinearLoss([0.5]))
@@ -130,6 +137,10 @@ _FALLBACKS = {
     "subclass": lambda i, s: (Subclassed if i == 2 else DecisionStump)(FEATURES, s),
     "patched-predict": lambda i, s: (_patched if i == 2 else (lambda x: x))(
         DecisionStump(FEATURES, s)),
+    "patched-update": lambda i, s: (_patched_update if i == 2 else (lambda x: x))(
+        DecisionStump(FEATURES, s)),
+    "learner-kinds": lambda i, s: (UniformBaseline(s) if i == 2
+                                   else DecisionStump(FEATURES, s)),
     "gamma": lambda i, s: DecisionStump(FEATURES, s, 0.4 if i == 2 else 0.5),
     "feature-dim": lambda i, s: DecisionStump(FEATURES + (i == 2), s),
     "rounds": lambda i, s: (_played_before if i == 2 else (lambda x: x))(

@@ -7,13 +7,15 @@ compare two such files.
 Recording runs ``python3 perfbench/run.py --seconds 20 --seed 0`` in the
 checkout DIR (default: the one holding this script), first with --trace 0
 and then with --trace 1. The file keeps the git hashes of the checkout's
-``src`` and ``perfbench`` trees, the seed, the seconds, the Python and numpy
+``src`` and ``perfbench`` trees, the line count of ``src/ocoboost/**/*.py``
+(as ``wc -l`` counts), the seed, the seconds, the Python and numpy
 versions, both runs' last JSON lines (the end-to-end and the per-layer
 metrics), each workload's played-points digest and its checked outputs.
 
-Comparing prints each metric's ratio new/old, marks an end-to-end metric
-that is worse than its ``BENCHMARK.json`` bound, and names every digest and
-checked output that changed. It exits with status 1 if a digest changed.
+Comparing prints both line counts ("n/a" for a file without one) and each
+metric's ratio new/old, marks an end-to-end metric that is worse than its
+``BENCHMARK.json`` bound, and names every digest and checked output that
+changed. It exits with status 1 if a digest changed.
 """
 
 import argparse
@@ -48,6 +50,12 @@ def tree_hashes(root: Path) -> dict:
             for part in ("src", "perfbench")}
 
 
+def src_lines(root: Path) -> int:
+    """The newlines in ``src/ocoboost/**/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (root / "src" / "ocoboost").rglob("*.py"))
+
+
 def run(root: Path, trace: int):
     """One run of the benchmark: (its last JSON line, digests, checks)."""
     out = subprocess.run(
@@ -74,7 +82,8 @@ def record(root: Path) -> dict:
     for workload, notes in traced_checks.items():
         kept = checks.setdefault(workload, [])
         kept += [note for note in notes if note not in kept]
-    return {"tree": tree_hashes(root), "seed": SEED, "seconds": SECONDS,
+    return {"tree": tree_hashes(root), "src_lines": src_lines(root),
+            "seed": SEED, "seconds": SECONDS,
             "python": platform.python_version(), "numpy": numpy.__version__,
             "untraced": untraced, "traced": traced,
             "digests": digests, "checks": checks}
@@ -85,6 +94,7 @@ def compare(old: dict, new: dict, benchmark: dict) -> int:
     kinds = {m["name"]: m for m in benchmark["end_to_end"] + benchmark["per_layer"]}
     print(f"old: src {old['tree']['src'][:12]}, {old['seconds']} s, seed {old['seed']}")
     print(f"new: src {new['tree']['src'][:12]}, {new['seconds']} s, seed {new['seed']}")
+    print(f"src lines: {old.get('src_lines', 'n/a')} -> {new.get('src_lines', 'n/a')}")
     for run_name in ("untraced", "traced"):
         print(f"\n{run_name} (correct: old {old[run_name]['correct']}, "
               f"new {new[run_name]['correct']})")
