@@ -61,10 +61,9 @@ class WeakLearner:
         raise NotImplementedError
 
     def update(self, loss) -> None:
-        """Feed the round's linear loss: a ``LinearLoss`` or its direction
-        vector (the boosters pass the vector). An update consumes what its
-        ``predict`` set up, so afterwards the learner holds no reference to
-        the caller's context, and a second update needs a new predict."""
+        """Feed the round's linear loss, a ``LinearLoss`` or its direction
+        vector (the boosters pass the vector), for the context as copied at
+        the ``predict``; a second update needs a new predict."""
         g = _loss_vector(loss, self.action_dim)
         if self._last_context is None:
             raise ProtocolError("update without a preceding predict")
@@ -77,7 +76,7 @@ class WeakLearner:
 
     def _remember(self, context):
         self._last_context = None  # a rejected context leaves no round
-        self._last_context = as_point(context, self.feature_dim, "context")
+        self._last_context = as_point(context, self.feature_dim, "context").copy()
         return self._last_context
 
 
@@ -246,16 +245,15 @@ class _Regressor(WeakLearner):
 
 class _StumpWarmup:
     """The warm-up of a ``DecisionStump`` and of a ``StumpBank``: buffer the
-    first ``STUMP_WARMUP`` (context, loss) pairs, set the bin edges from
-    their contexts, then ``_credit`` the pairs in order."""
+    first ``STUMP_WARMUP`` (context, loss) pairs, the contexts as copied at
+    play, set the bin edges from them, then ``_credit`` the pairs in order."""
 
     def _apply_update(self, context, g):
-        if self.edges is None:
-            self._buffer.append((context.copy(), g.copy()))
-            if len(self._buffer) >= STUMP_WARMUP:
-                self._finish_warmup()
-            return
-        self._credit(context, g)
+        if self.edges is not None:
+            return self._credit(context, g)
+        self._buffer.append((context, g.copy()))
+        if len(self._buffer) >= STUMP_WARMUP:
+            self._finish_warmup()
 
     def _finish_warmup(self):
         data = np.stack([c for c, _ in self._buffer])
@@ -285,7 +283,8 @@ class DecisionStump(_StumpWarmup, _Regressor):
         super().__init__(feature_dim, set_, gamma, anchor)
         self._buffer = []
         self.edges = None
-        self._self_anchor = np.array([self.anchor == "self"])
+        self._self_anchor = np.full((1, 1, 1), self.anchor == "self")
+        self._offsets = np.arange(self.feature_dim)[None] * STUMP_BINS
         self.counts = np.zeros((self.feature_dim, STUMP_BINS), dtype=np.int64)
         self.leaves = np.zeros((self.feature_dim, STUMP_BINS, self.action_dim))
         self.feat_loss = np.zeros(self.feature_dim)
@@ -295,76 +294,87 @@ class DecisionStump(_StumpWarmup, _Regressor):
         if self.edges is None:
             return self.set_.centroid
         return _stump_plays(self.set_, self.gamma, self.leaves[None],
-                            self.feat_loss[None], self.edges, c)[0]
+                            self.feat_loss[None], 0, _bins(self.edges, c))[0]
 
     def _credit(self, context, g):
         _credit_stumps(self.set_, self.gamma, self._self_anchor, self.leaves[None],
-                       self.counts[None], self.feat_loss[None], self.edges,
-                       context, g[None])
+                       self.counts[None], self.feat_loss[None],
+                       self._offsets + _bins(self.edges, context), g[None])
 
     def _bank_key(self):
         # a stump that has played holds its own warm-up buffer
         return None if self.rounds else (self.feature_dim, self.gamma, self.set_)
 
 
-def _stump_plays(set_, gamma, leaves, feat_loss, edges, c) -> np.ndarray:
-    """The (n, d) plays at context ``c`` of n stumps with (n, F, B, d)
-    ``leaves`` and (n, F) feature losses: gamma times the leaf of each row's
-    leading feature, projected. A bin counts the edges <= c, as
-    ``searchsorted(side="right")`` does."""
+def _bins(edges, c) -> np.ndarray:
+    """Each feature's bin of ``c``: its edges <= c, as ``searchsorted(side="right")``."""
+    return (edges <= c[:, None]).sum(axis=1)
+
+
+def _stump_plays(set_, gamma, leaves, feat_loss, rows, bins) -> np.ndarray:
+    """The (n, d) plays of n stumps with (n, F, B, d) ``leaves`` and (n, F)
+    feature losses at a context in (F,) ``bins``: gamma times the leaf of
+    the leading feature of each of ``rows`` (``arange(n)``, or 0 for one), projected."""
     j = feat_loss.argmin(axis=1)
-    bins = (edges <= c[:, None]).sum(axis=1)
-    return set_._project(gamma * leaves[np.arange(len(j)), j, bins[j]])
+    return set_._project(gamma * leaves[rows, j, bins[j]])
 
 
-def _credit_stumps(set_, gamma, self_anchor, leaves, counts, feat_loss, edges, c,
+def _credit_stumps(set_, gamma, self_anchor, leaves, counts, feat_loss, cells,
                    G) -> None:
-    """Feed stump i the loss direction ``G[i]``, in place: the context's cell
-    in every feature adds its play's linear loss to the feature's loss and
-    moves its leaf to the running mean of the targets ``anchor - G[i] / 2``,
-    with the leaf as anchor where ``self_anchor[i]`` holds, else 0."""
-    n, F = feat_loss.shape
-    cells = (np.arange(n)[:, None], np.arange(F), (edges <= c[:, None]).sum(axis=1))
+    """Feed stump i of (n, F, B, d) ``leaves``, (n, F, B) ``counts`` and (n, F)
+    ``feat_loss`` the loss ``G[i]``, in place: the cell played in each feature,
+    at its flat index in the (n, F) ``cells``, adds its play's linear loss to
+    the feature's and moves its leaf to the running mean of the targets
+    ``anchor - G[i] / 2``, anchored at the leaf where the (n, 1, 1) ``self_anchor``
+    holds, else 0. The tables must be contiguous: a flat copy loses the scatter."""
+    leaves, counts = leaves.reshape(-1, G.shape[1]), counts.reshape(-1)
     L = leaves[cells]  # (n, F, d)
-    feat_loss += np.vecdot(set_._project(gamma * L.reshape(n * F, -1)).reshape(L.shape),
+    feat_loss += np.vecdot(set_._project(gamma * L.reshape(cells.size, -1)).reshape(L.shape),
                            G[:, None])
     k = counts[cells] + 1
     counts[cells] = k
-    target = np.where(self_anchor[:, None, None], L, 0.0) - 0.5 * G[:, None]
+    target = np.where(self_anchor, L, 0.0) - 0.5 * G[:, None]
     leaves[cells] = L + (target - L) / k[..., None]
 
 
 class StumpBank(_StumpWarmup, _Bank):
     """N ``DecisionStump``s with one ``_bank_key()``, run as (N, F, B, d)
     leaves, (N, F, B) counts and (N, F) feature losses that share one
-    warm-up buffer, one set of edges and each round's bins. A round is one
-    array step to play and one to credit, with the learners' bits."""
+    warm-up buffer, one set of edges and each round's bins, counted once to
+    play and credited at cell offsets built at construction: one array step
+    each, with the learners' bits."""
 
     _ROWS = ("leaves", "counts", "feat_loss")
 
     def __init__(self, learners):
         super().__init__(learners)
         self.feature_dim, self.gamma, self.set_ = learners[0]._bank_key()
-        self.self_anchor = np.concatenate([learner._self_anchor for learner in learners])
-        self._buffer, self.edges = [], None
+        self._self_anchor = np.concatenate([learner._self_anchor for learner in learners])
+        self.self_anchor = self._self_anchor.ravel()
+        self._rows, self._buffer, self.edges = np.arange(len(learners)), [], None
+        self._offsets = self._rows[:, None] * learners[0].counts.size + learners[0]._offsets
 
-    def _play(self, context):
+    def _play(self, context):  # the round: its bins, or in warm-up its context's copy
         c = as_point(context, self.feature_dim, "context")
         if self.edges is None:
-            return c, np.full((len(self.learners), self.set_.dim), self.set_.centroid)
-        return c, _stump_plays(self.set_, self.gamma, self.leaves, self.feat_loss,
-                               self.edges, c)
+            return c.copy(), np.full((len(self.learners), self.set_.dim), self.set_.centroid)
+        bins = _bins(self.edges, c)
+        return bins, _stump_plays(self.set_, self.gamma, self.leaves, self.feat_loss,
+                                  self._rows, bins)
 
-    _feed = _StumpWarmup._apply_update
+    def _feed(self, played, G):
+        if self.edges is None:
+            return self._apply_update(played, G)
+        _credit_stumps(self.set_, self.gamma, self._self_anchor, self.leaves, self.counts,
+                       self.feat_loss, self._offsets + played, G)
 
     def _finish_warmup(self):
         super()._finish_warmup()
         for learner in self.learners:
             learner.edges = self.edges
 
-    def _credit(self, c, G):
-        _credit_stumps(self.set_, self.gamma, self.self_anchor, self.leaves,
-                       self.counts, self.feat_loss, self.edges, c, G)
+    def _credit(self, c, G):  # a context buffered in warm-up
+        self._feed(_bins(self.edges, c), G)
 
 
 _BANKS = {ScaledLeaderOracle: LeaderBank, DecisionStump: StumpBank}

@@ -1,6 +1,8 @@
 """``tools/bench_record.py`` compares two BENCH files: it names a changed
 digest (and returns 1), marks an end-to-end metric beyond its bound, and
-reads an older file that has no ``src_lines``."""
+reads an older file that has no ``src_lines``. Its paired runs alternate
+which side goes first and print the parent's median and quartiles and the
+pairs the change won."""
 
 import importlib.util
 from pathlib import Path
@@ -59,3 +61,56 @@ def test_src_lines_counts_newlines_as_wc_does(tmp_path):
     (package / "sub" / "b.py").write_text("z = 3\nw = 4")  # no final newline
     (package / "notes.txt").write_text("not\ncounted\n")
     assert bench_record.src_lines(tmp_path) == 3
+
+
+def _run(rounds_per_s, calls, digest="ab12", failed=0):
+    """One untraced run as ``run_pairs`` keeps it: (JSON line, digests)."""
+    return ({"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": {
+        "w/rounds_per_s": {"value": rounds_per_s, "unit": "1/s"},
+        "w/weak.calls": {"value": calls, "unit": "count"}}}, {"w": digest})
+
+
+def _metric_line(out, key):
+    (line,) = [line.strip() for line in out.splitlines() if line.strip().startswith(key)]
+    return line
+
+
+def test_pairs_print_the_parents_quartiles_and_the_changes_wins(capsys):
+    # rounds_per_s: higher is better; pair 3 is a tie and pair 4 a loss
+    parents = [_run(100.0, 10), _run(104.0, 10), _run(102.0, 10), _run(106.0, 12)]
+    changes = [_run(110.0, 9), _run(108.0, 10), _run(102.0, 11), _run(105.0, 11)]
+    assert bench_record.summarize_pairs(parents, changes, BENCHMARK) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("4 pairs\n")
+    # inclusive quartiles of 100, 102, 104, 106; the change's median is 106.5
+    assert _metric_line(out, "w/rounds_per_s:") == (
+        "w/rounds_per_s: parent 103 (quartiles 101.5-104.5), change 106.5 1/s"
+        "  x1.034  change better in 2/4")
+    # weak.calls: lower is better; 9 < 10 wins, 10 = 10 ties, 11 < 12 wins
+    assert _metric_line(out, "w/weak.calls:").endswith("change better in 2/4")
+    assert "parent: 0 of 400 operations failed, 0 runs not correct" in out
+    assert out.rstrip().endswith("digests unchanged")
+
+
+def test_pairs_count_failures_and_other_digests(capsys):
+    parents = [_run(100.0, 10), _run(100.0, 10)]
+    changes = [_run(100.0, 10, digest="cd34", failed=3), _run(100.0, 10)]
+    assert bench_record.summarize_pairs(parents, changes, BENCHMARK) == 1
+    out = capsys.readouterr().out
+    assert _metric_line(out, "w/rounds_per_s:").endswith("change better in 0/2")
+    assert "change: 3 of 200 operations failed, 1 runs not correct" in out
+    assert "digests differ in 1 runs" in out
+
+
+def test_pairs_alternate_which_side_runs_first(monkeypatch):
+    calls = []
+
+    def fake_run(root, trace, seed):
+        calls.append((root, trace, seed))
+        return _run(1.0, 1)[0], {"w": "ab12"}, {}
+
+    monkeypatch.setattr(bench_record, "run", fake_run)
+    parents, changes = bench_record.run_pairs(Path("p"), Path("c"), 3, 7)
+    assert [root.name for root, _, _ in calls] == ["p", "c", "c", "p", "p", "c"]
+    assert {(trace, seed) for _, trace, seed in calls} == {(0, 7)}
+    assert len(parents) == len(changes) == 3

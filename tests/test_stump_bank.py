@@ -201,3 +201,36 @@ def test_wrong_size_context_raises_and_leaves_no_round():
     point, traj = booster.predict(np.zeros(FEATURES))
     booster.update(LinearLoss([0.3]), traj)
     assert all(learner.rounds == 1 for learner in booster.learners)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("name", list(_SETS))
+def test_bank_credits_ties_at_the_edges_as_a_learner_list(name, n):
+    """The bank alone, without a booster: the bins it counted to play are
+    the cells it credits, also where a context sits on an edge."""
+    set_c, _ = _SETS[name].recenter()
+    rng = np.random.default_rng([n, len(name), 1])
+    bank = StumpBank([_stump(i, set_c) for i in range(n)])
+    listed = LearnerList([_stump(i, set_c) for i in range(n)], set_c.dim)
+    for t in range(STUMP_WARMUP + 150):
+        c = rng.standard_normal(FEATURES)
+        if bank.edges is not None and t % 2:  # every other context is made of edges
+            c = bank.edges[np.arange(FEATURES), rng.integers(0, STUMP_BINS - 1, FEATURES)]
+        np.testing.assert_array_equal(bank.predict_all(c), listed.predict_all(c))
+        G = 3.0 * rng.standard_normal((n, set_c.dim))
+        bank.update_all(G)
+        listed.update_all(G)
+        for a, b in zip(bank.learners, listed.learners):
+            np.testing.assert_array_equal(a.leaves, b.leaves)
+            np.testing.assert_array_equal(a.counts, b.counts)
+            np.testing.assert_array_equal(a.feat_loss, b.feat_loss)
+    assert bank.learners[0].edges is bank.edges
+    # the credit scatters through flat reshapes, which are views only of
+    # contiguous arrays
+    for table_name in ("leaves", "counts", "feat_loss"):
+        table = getattr(bank, table_name)
+        assert table.flags.c_contiguous
+        for learner, row in zip(bank.learners, table):
+            own = getattr(learner, table_name)
+            assert own.flags.c_contiguous
+            assert np.shares_memory(own, row) and np.shares_memory(own.reshape(-1), row)

@@ -1,8 +1,11 @@
-"""Record the benchmark of one source tree in a BENCH_<n>.json file, or
-compare two such files.
+"""Record, compare or pair runs of the benchmark.
+
+A record is the benchmark of one source tree in a BENCH_<n>.json file;
+two records compare; pairs time a change against its parent checkout.
 
     python3 tools/bench_record.py BENCH_<n>.json [--root DIR]
     python3 tools/bench_record.py --compare BENCH_<m>.json BENCH_<n>.json
+    python3 tools/bench_record.py --pairs N --parent DIR [--seed S] [--root DIR]
 
 Recording runs ``python3 perfbench/run.py --seconds 20 --seed 0`` in the
 checkout DIR (default: the one holding this script), first with --trace 0
@@ -16,6 +19,15 @@ Comparing prints both line counts ("n/a" for a file without one) and each
 metric's ratio new/old, marks an end-to-end metric that is worse than its
 ``BENCHMARK.json`` bound, and names every digest and checked output that
 changed. It exits with status 1 if a digest changed.
+
+Pairing runs the untraced benchmark (``--seconds 20``, seed S, default 0)
+N times in the parent checkout DIR and N times in the ``--root``
+checkout, one of each per pair, with the parent first in every other
+pair. For each workload and metric it prints the parent's median and
+quartiles, the change's median, their ratio and the pairs the change won
+(by the metric's ``better`` in ``BENCHMARK.json``; a tie counts for
+neither side), then the operations that failed and whether any run played
+other points than the parent's first. It exits with status 1 if one did.
 """
 
 import argparse
@@ -23,6 +35,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -56,11 +69,11 @@ def src_lines(root: Path) -> int:
                for path in (root / "src" / "ocoboost").rglob("*.py"))
 
 
-def run(root: Path, trace: int):
+def run(root: Path, trace: int, seed: int = SEED):
     """One run of the benchmark: (its last JSON line, digests, checks)."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--seconds", str(SECONDS),
-         "--seed", str(SEED), "--trace", str(trace)],
+         "--seed", str(seed), "--trace", str(trace)],
         cwd=root, check=True, capture_output=True, text=True).stdout.splitlines()
     digests, checks = {}, {}
     for line in out[:-1]:
@@ -127,6 +140,47 @@ def compare(old: dict, new: dict, benchmark: dict) -> int:
     return changed
 
 
+def run_pairs(parent: Path, change: Path, pairs: int, seed: int):
+    """``pairs`` untraced runs of each checkout, the parent first in every
+    other pair: ([parent (JSON, digests)], [change (JSON, digests)])."""
+    roots, sides = (parent, change), ([], [])
+    for i in range(pairs):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            result, digests, _ = run(roots[side], 0, seed)
+            sides[side].append((result, digests))
+            print(f"pair {i + 1}/{pairs}: ran {roots[side]}", file=sys.stderr)
+    return sides
+
+
+def summarize_pairs(parent_runs, change_runs, benchmark: dict) -> int:
+    """Print each metric's paired comparison (``parent_runs[i]`` and
+    ``change_runs[i]`` are pair i's (JSON, digests)); return the number of
+    runs whose digests differ from the first parent run's."""
+    kinds = {m["name"]: m for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+    n = len(parent_runs)
+    print(f"{n} pairs")
+    for key, entry in parent_runs[0][0]["metrics"].items():
+        better = kinds.get(key.rpartition("/")[2], {}).get("better", "lower")
+        before = [result["metrics"][key]["value"] for result, _ in parent_runs]
+        after = [result["metrics"][key]["value"] for result, _ in change_runs]
+        q1, median, q3 = statistics.quantiles(before, n=4, method="inclusive")
+        new = statistics.median(after)
+        wins = sum(a < b if better == "lower" else a > b for a, b in zip(after, before))
+        ratio = new / median if median else float("nan")
+        print(f"  {key}: parent {median:.6g} (quartiles {q1:.6g}-{q3:.6g}), "
+              f"change {new:.6g} {entry['unit']}  x{ratio:.3f}  "
+              f"change better in {wins}/{n}")
+    for side, runs in (("parent", parent_runs), ("change", change_runs)):
+        failed = sum(result["failed"] for result, _ in runs)
+        attempted = sum(result["attempted"] for result, _ in runs)
+        print(f"{side}: {failed} of {attempted} operations failed, "
+              f"{sum(not result['correct'] for result, _ in runs)} runs not correct")
+    first = parent_runs[0][1]
+    changed = sum(digests != first for _, digests in parent_runs + change_runs)
+    print(f"digests differ in {changed} runs" if changed else "digests unchanged")
+    return changed
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="the BENCH_<n>.json to write")
@@ -134,11 +188,22 @@ def main(argv=None):
                         help="the checkout to measure (default: this one)")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="compare two BENCH files instead of recording")
+    parser.add_argument("--pairs", type=int, metavar="N",
+                        help="time N parent/change pairs instead of recording")
+    parser.add_argument("--parent", type=Path, metavar="DIR",
+                        help="the parent checkout that --pairs runs")
+    parser.add_argument("--seed", type=int, default=SEED,
+                        help=f"the workload seed of --pairs (default {SEED})")
     args = parser.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.compare:
         old, new = (json.loads(Path(p).read_text()) for p in args.compare)
-        benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
         return 1 if compare(old, new, benchmark) else 0
+    if args.pairs is not None:
+        if args.pairs < 2 or args.parent is None:  # quartiles need two runs
+            parser.error("--pairs needs N >= 2 and --parent DIR")
+        runs = run_pairs(args.parent.resolve(), args.root.resolve(), args.pairs, args.seed)
+        return 1 if summarize_pairs(*runs, benchmark) else 0
     if args.out is None:
         parser.error("give the file to write, or --compare OLD NEW")
     result = record(args.root.resolve())
